@@ -527,10 +527,11 @@ func (c *Cluster) Anomalies() *obs.AnomalyWatcher {
 }
 
 // Accounts returns the cluster-wide per-principal account table (nil
-// when the cluster was built with NoObs or NoAccounting). Bind client
-// work with obs.WithPrincipal and every layer attributes its bytes,
-// RPCs, lock waits, and cache misses; Snapshot() is the cluster
-// "top", Advance() closes a rate window.
+// when the cluster was built with NoObs or NoAccounting). Tag client
+// work with obs.WithPrincipal: each fs operation reads the tag once,
+// into its root span, and every layer it passes that span to
+// attributes its bytes, RPCs, lock waits, and cache misses; Snapshot()
+// is the cluster "top", Advance() closes a rate window.
 func (c *Cluster) Accounts() *obs.AccountTable {
 	if c.Obs() == nil {
 		return nil

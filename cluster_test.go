@@ -201,3 +201,67 @@ func errNotExist(f *frangipani.FS) error {
 	_, err := f.Stat("/definitely-not-here-either")
 	return err
 }
+
+// TestWriteVFanOutChargesPrincipal checks that a principal-tagged
+// write whose write-back WriteV fans out to several Petal primaries
+// reaches every one of them with the principal: each primary's
+// server-side span carries it, and each server charged it a server
+// op. The fan-out runs on worker goroutines, so this only holds if
+// the span is passed to them rather than found through a binding.
+func TestWriteVFanOutChargesPrincipal(t *testing.T) {
+	c := newTestCluster(t)
+	ws1, err := c.AddServer("ws1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := ws1.OpenFile("/fan.bin", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws1.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const who = "tenant-fan"
+	obs.WithPrincipal(who, func() {
+		if _, err := h.WriteAt(make([]byte, 1<<20), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws1.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tr := c.Obs().Tracer()
+	spans := tr.SpansFor(tr.LastRoot())
+	writev := map[uint64]bool{}
+	for _, sp := range spans {
+		if sp.Layer == "petal" && sp.Op == "writev" {
+			writev[sp.ID] = true
+		}
+	}
+	// Primaries are the server spans parented directly by a client
+	// WriteV; replica forwards hang below them.
+	primaries := 0
+	for _, sp := range spans {
+		if sp.Op != "server.writev" {
+			continue
+		}
+		if sp.Principal != who {
+			t.Errorf("server span %d charged to %q, want %q", sp.ID, sp.Principal, who)
+		}
+		if writev[sp.Parent] {
+			primaries++
+		}
+	}
+	if primaries < 2 {
+		t.Fatalf("WriteV reached %d primaries, want >= 2 for a fan-out:\n%s", primaries, tr.RenderTrace(tr.LastRoot()))
+	}
+	var got obs.AccountStat
+	for _, st := range c.Accounts().Snapshot() {
+		if st.Principal == who {
+			got = st
+		}
+	}
+	if got.ServerOps < int64(primaries) {
+		t.Fatalf("%s charged %d server ops, want >= %d (one per primary)", who, got.ServerOps, primaries)
+	}
+}

@@ -56,9 +56,9 @@ func main() {
 		pc := cluster.Client("corruptor")
 		lay := cluster.Layout()
 		sec := make([]byte, 512)
-		must(pc.Read("fs0", lay.InodeAddr(info.Inum), sec))
+		must(pc.Read(nil, "fs0", lay.InodeAddr(info.Inum), sec))
 		sec[2] = 77 // nlink
-		must(pc.Write("fs0", lay.InodeAddr(info.Inum), sec))
+		must(pc.Write(nil, "fs0", lay.InodeAddr(info.Inum), sec))
 		fmt.Println("injected: inode nlink corrupted for /src/pkg/file2.go")
 	}
 

@@ -84,7 +84,9 @@ func main() {
   top [json]           per-principal account table: who is moving
                        bytes, issuing RPCs, and waiting on locks;
                        tag work with obs.WithPrincipal to attribute
-                       it (unattributed work shows as 'unknown')
+                       it: each fs op reads the tag once into its
+                       root span, which carries it down the stack
+                       (unattributed work shows as 'unknown')
   forensics [json]     merged cross-server event timeline (flight
                        recorder); variants:
                          forensics lock <id|inode/N>   one lock's story,

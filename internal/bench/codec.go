@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/petal"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
@@ -34,7 +35,7 @@ func (o Options) CodecMux() (*Table, error) {
 	// requests are being served at once.
 	var inflight, inflightPeak atomic.Int64
 	var badPayloads atomic.Int64
-	srv := rpc.NewEndpoint("codec-srv", carrier, clock, func(from string, body any) any {
+	srv := rpc.NewEndpoint("codec-srv", carrier, clock, func(_ *obs.Span, from string, body any) any {
 		m, ok := body.(petal.WriteVReq)
 		if !ok {
 			return nil
@@ -95,7 +96,7 @@ func (o Options) CodecMux() (*Table, error) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				resp, err := cli.Call("codec-srv", reqs[w], 30*time.Second)
+				resp, err := cli.Call(nil, "codec-srv", reqs[w], 30*time.Second)
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d round %d: %w", w, r, err)
 					return

@@ -155,7 +155,7 @@ func (o Options) lockScaleRun(nServers int, handoff bool) (*lockScaleRes, error)
 	clerks := make([]*lockservice.Clerk, nClerks)
 	for i := range clerks {
 		c := lockservice.NewClerk(w, fmt.Sprintf("lw%d", i), "scale", names, cfg)
-		c.SetCallbacks(func(lock uint64, to lockservice.Mode) {}, nil, nil)
+		c.SetCallbacks(func(_ *obs.Span, lock uint64, to lockservice.Mode) {}, nil, nil)
 		if err := c.Open(); err != nil {
 			return nil, fmt.Errorf("lock-scaling: open clerk %d: %v", i, err)
 		}

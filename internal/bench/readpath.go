@@ -164,7 +164,7 @@ func (o Options) readBalanceRows(t *Table) error {
 			buf[i] = byte(i * 131)
 		}
 		for _, chk := range hotChunks {
-			if err := pc.Write(v, chk*petal.ChunkSize, buf); err != nil {
+			if err := pc.Write(nil, v, chk*petal.ChunkSize, buf); err != nil {
 				c.Close()
 				return err
 			}

@@ -56,7 +56,6 @@ type Pool struct {
 	byOwner map[uint64]map[int64]*Entry
 
 	hits, misses, evictions *obs.Counter
-	acct                    *obs.AccountTable // per-principal miss attribution
 }
 
 // NewPool creates a cache holding up to capacity blocks of blockSize
@@ -86,7 +85,6 @@ func (p *Pool) SetObs(reg *obs.Registry, instance string) {
 	p.hits = reg.Counter("cache.hits#" + instance)
 	p.misses = reg.Counter("cache.misses#" + instance)
 	p.evictions = reg.Counter("cache.evictions#" + instance)
-	p.acct = reg.Accounts()
 	p.mu.Unlock()
 }
 
@@ -126,9 +124,6 @@ func (p *Pool) Lookup(addr int64) (*Entry, bool) {
 		p.hits.Inc()
 	} else {
 		p.misses.Inc()
-		// Misses force a backing read; charge the principal whose
-		// operation took the fault.
-		p.acct.CacheMiss(obs.CurrentPrincipal(), 1)
 	}
 	return e, ok
 }

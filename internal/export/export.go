@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"frangipani/internal/fs"
+	"frangipani/internal/obs"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -114,7 +115,7 @@ func errResp(err error) StatusResp {
 	return StatusResp{Err: err.Error()}
 }
 
-func (s *Server) handle(from string, body any) any {
+func (s *Server) handle(_ *obs.Span, from string, body any) any {
 	switch m := body.(type) {
 	case LookupReq:
 		info, err := s.fs.Stat(m.Path)
@@ -205,7 +206,7 @@ func (c *Client) Close() { c.ep.Close() }
 func (c *Client) call(req any) (any, error) {
 	var lastErr error = errors.New("export: no server reachable")
 	for _, s := range c.servers {
-		resp, err := c.ep.Call(Addr(s), req, c.timeout)
+		resp, err := c.ep.Call(nil, Addr(s), req, c.timeout)
 		if err != nil {
 			lastErr = err
 			continue

@@ -68,10 +68,10 @@ func Restore(pc *petal.Client, snap, dest petal.VDiskID, lay Layout) error {
 	buf := make([]byte, petal.ChunkSize)
 	for _, ch := range chunks {
 		off := ch * petal.ChunkSize
-		if err := pc.Read(snap, off, buf); err != nil {
+		if err := pc.Read(nil, snap, off, buf); err != nil {
 			return fmt.Errorf("fs: restore read chunk %d: %w", ch, err)
 		}
-		if err := pc.Write(dest, off, buf); err != nil {
+		if err := pc.Write(nil, dest, off, buf); err != nil {
 			return fmt.Errorf("fs: restore write chunk %d: %w", ch, err)
 		}
 	}
@@ -91,7 +91,7 @@ func Restore(pc *petal.Client, snap, dest petal.VDiskID, lay Layout) error {
 		}
 		// Clear the replayed log so a future mount of this slot starts
 		// clean.
-		if err := pc.Write(dest, lay.LogSlotBase(slot), make([]byte, lay.LogSize)); err != nil {
+		if err := pc.Write(nil, dest, lay.LogSlotBase(slot), make([]byte, lay.LogSize)); err != nil {
 			return err
 		}
 	}
@@ -106,9 +106,9 @@ type clientRegion struct {
 	base int64
 }
 
-func (r *clientRegion) ReadAt(p []byte, off int64) error { return r.pc.Read(r.vd, r.base+off, p) }
+func (r *clientRegion) ReadAt(p []byte, off int64) error { return r.pc.Read(nil, r.vd, r.base+off, p) }
 func (r *clientRegion) WriteAt(p []byte, off int64) error {
-	return r.pc.Write(r.vd, r.base+off, p)
+	return r.pc.Write(nil, r.vd, r.base+off, p)
 }
 
 type clientDev struct {
@@ -116,5 +116,5 @@ type clientDev struct {
 	vd petal.VDiskID
 }
 
-func (d *clientDev) ReadAt(p []byte, off int64) error  { return d.pc.Read(d.vd, off, p) }
-func (d *clientDev) WriteAt(p []byte, off int64) error { return d.pc.Write(d.vd, off, p) }
+func (d *clientDev) ReadAt(p []byte, off int64) error  { return d.pc.Read(nil, d.vd, off, p) }
+func (d *clientDev) WriteAt(p []byte, off int64) error { return d.pc.Write(nil, d.vd, off, p) }

@@ -68,7 +68,7 @@ func Check(pc *petal.Client, vd petal.VDiskID, lay Layout) (*Report, error) {
 		bits:     make(map[int64]bool),
 	}
 	psec := make([]byte, SectorSize)
-	if err := pc.Read(vd, lay.ParamsBase, psec); err != nil {
+	if err := pc.Read(nil, vd, lay.ParamsBase, psec); err != nil {
 		return nil, err
 	}
 	if _, err := decodeParams(psec); err != nil {
@@ -95,7 +95,7 @@ func Check(pc *petal.Client, vd petal.VDiskID, lay Layout) (*Report, error) {
 		sec, ok := visited[addr]
 		if !ok {
 			sec = make([]byte, SectorSize)
-			if err := pc.Read(vd, addr, sec); err != nil {
+			if err := pc.Read(nil, vd, addr, sec); err != nil {
 				return nil, err
 			}
 			visited[addr] = sec
@@ -121,7 +121,7 @@ func Check(pc *petal.Client, vd petal.VDiskID, lay Layout) (*Report, error) {
 
 func (c *checker) readInode(inum int64) (Inode, error) {
 	sec := make([]byte, SectorSize)
-	if err := c.pc.Read(c.vd, c.lay.InodeAddr(inum), sec); err != nil {
+	if err := c.pc.Read(nil, c.vd, c.lay.InodeAddr(inum), sec); err != nil {
 		return Inode{}, err
 	}
 	return decodeInode(sec)
@@ -182,7 +182,7 @@ func (c *checker) walkDir(inum int64, path string) error {
 			continue
 		}
 		sec := make([]byte, SectorSize)
-		if err := c.pc.Read(c.vd, pageAddr+(inPage&^(SectorSize-1)), sec); err != nil {
+		if err := c.pc.Read(nil, c.vd, pageAddr+(inPage&^(SectorSize-1)), sec); err != nil {
 			return err
 		}
 		ents, err := dirSectorEntries(sec)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"frangipani/internal/lockservice"
+	"frangipani/internal/obs"
 	"frangipani/internal/petal"
 )
 
@@ -20,11 +21,12 @@ func (fs *FS) Open(path string) (*File, error) {
 	if err := fs.usable(); err != nil {
 		return nil, err
 	}
-	inum, err := fs.namei(path, true)
+	sp := fs.rootSpan("")
+	inum, err := fs.namei(sp, path, true)
 	if err != nil {
 		return nil, err
 	}
-	info, err := fs.statInum(inum)
+	info, err := fs.statInum(sp, inum)
 	if err != nil {
 		return nil, err
 	}
@@ -47,10 +49,10 @@ func (fs *FS) OpenFile(path string, create bool) (*File, error) {
 	return f, err
 }
 
-func (fs *FS) statInum(inum int64) (Info, error) {
+func (fs *FS) statInum(sp *obs.Span, inum int64) (Info, error) {
 	var info Info
-	err := fs.withLocks([]lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
-		_, in, err := fs.loadInode(inum)
+	err := fs.withLocks(sp, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+		_, in, err := fs.loadInode(sp, inum)
 		if err != nil {
 			return err
 		}
@@ -71,7 +73,7 @@ func (f *File) Inum() int64 { return f.inum }
 
 // Size returns the file's current size.
 func (f *File) Size() (int64, error) {
-	info, err := f.fs.statInum(f.inum)
+	info, err := f.fs.statInum(f.fs.rootSpan(""), f.inum)
 	return info.Size, err
 }
 
@@ -136,15 +138,15 @@ func (fs *FS) ensureBlock(t *txn, in *Inode, off int64, isDir bool) error {
 // Data is staged in the buffer cache (not logged); metadata changes
 // (allocation, size, mtime) are logged.
 func (f *File) WriteAt(p []byte, off int64) (n int, err error) {
-	err = f.fs.traced("write", func() error {
+	err = f.fs.traced("write", func(sp *obs.Span) error {
 		var e error
-		n, e = f.writeAt(p, off)
+		n, e = f.writeAt(sp, p, off)
 		return e
 	})
 	return n, err
 }
 
-func (f *File) writeAt(p []byte, off int64) (int, error) {
+func (f *File) writeAt(sp *obs.Span, p []byte, off int64) (int, error) {
 	fs := f.fs
 	if err := fs.usable(); err != nil {
 		return 0, err
@@ -156,11 +158,11 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 		return 0, ErrTooBig
 	}
 	fs.chargeOp(len(p))
-	fs.accountBytes(len(p), 0)
+	fs.accountBytes(sp, len(p), 0)
 	lock := InodeLock(f.inum)
-	err := fs.withLocks([]lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
+	err := fs.withLocks(sp, []lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
 		t.pageOwner = lock
-		e, in, err := fs.loadInode(f.inum)
+		e, in, err := fs.loadInode(sp, f.inum)
 		if err != nil {
 			return err
 		}
@@ -189,7 +191,7 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 				if inPage == 0 && n == BlockSize {
 					pe = fs.data.Insert(pageAddr, make([]byte, BlockSize), lock)
 				} else {
-					pe, err = fs.readData(pageAddr, lock)
+					pe, err = fs.readData(sp, pageAddr, lock)
 					if err != nil {
 						return err
 					}
@@ -203,7 +205,7 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 			// Growing past EOF: bytes in [oldSize, off) within already
 			// allocated blocks must read as zeros, not as stale data
 			// left from before an earlier truncate.
-			fs.zeroRange(in, in.Size, off, lock)
+			fs.zeroRange(sp, in, in.Size, off, lock)
 			in.Size = off + int64(len(p))
 		}
 		in.Mtime = int64(fs.w.Clock.Now())
@@ -220,7 +222,7 @@ func (f *File) writeAt(p []byte, off int64) (int, error) {
 // zeroRange clears [lo, hi) in every allocated page of the file
 // (holes already read as zeros). Called under the file's exclusive
 // lock when the size grows over a previously truncated region.
-func (fs *FS) zeroRange(in Inode, lo, hi int64, lock uint64) {
+func (fs *FS) zeroRange(sp *obs.Span, in Inode, lo, hi int64, lock uint64) {
 	for cur := lo; cur < hi; {
 		pageAddr, inPage, ok := fs.filePageAddr(in, cur)
 		n := int64(BlockSize) - inPage
@@ -231,7 +233,7 @@ func (fs *FS) zeroRange(in Inode, lo, hi int64, lock uint64) {
 			pe, cached := fs.data.Lookup(pageAddr)
 			if !cached {
 				var err error
-				pe, err = fs.readData(pageAddr, lock)
+				pe, err = fs.readData(sp, pageAddr, lock)
 				if err != nil {
 					return
 				}
@@ -247,15 +249,15 @@ func (fs *FS) zeroRange(in Inode, lo, hi int64, lock uint64) {
 // reads past EOF return io.EOF. Sequential reads trigger read-ahead
 // when enabled.
 func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
-	err = f.fs.traced("read", func() error {
+	err = f.fs.traced("read", func(sp *obs.Span) error {
 		var e error
-		n, e = f.readAt(p, off)
+		n, e = f.readAt(sp, p, off)
 		return e
 	})
 	return n, err
 }
 
-func (f *File) readAt(p []byte, off int64) (int, error) {
+func (f *File) readAt(sp *obs.Span, p []byte, off int64) (int, error) {
 	fs := f.fs
 	if err := fs.usable(); err != nil {
 		return 0, err
@@ -264,7 +266,7 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 		return 0, ErrInval
 	}
 	fs.chargeOp(len(p))
-	fs.accountBytes(0, len(p))
+	fs.accountBytes(sp, 0, len(p))
 	lock := InodeLock(f.inum)
 
 	fs.raMu.Lock()
@@ -292,8 +294,8 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 
 	n := 0
 	var readErr error
-	err := fs.withLocks([]lockReq{{lock, lockservice.Shared}}, false, func(t *txn) error {
-		_, in, err := fs.loadInode(f.inum)
+	err := fs.withLocks(sp, []lockReq{{lock, lockservice.Shared}}, false, func(t *txn) error {
+		_, in, err := fs.loadInode(sp, f.inum)
 		if err != nil {
 			return err
 		}
@@ -340,7 +342,7 @@ func (f *File) readAt(p []byte, off int64) (int, error) {
 					run++
 				}
 				var err error
-				pe, err = fs.readDataRun(pageAddr, int(run), lock)
+				pe, err = fs.readDataRun(sp, pageAddr, int(run), lock)
 				if err != nil {
 					return err
 				}
@@ -481,10 +483,10 @@ func (fs *FS) maybePrefetch(inum int64, in Inode, readPos int64, pages int) {
 // Truncate sets the file's size, freeing (and for the large block,
 // decommitting) storage beyond it.
 func (f *File) Truncate(size int64) error {
-	return f.fs.traced("truncate", func() error { return f.truncate(size) })
+	return f.fs.traced("truncate", func(sp *obs.Span) error { return f.truncate(sp, size) })
 }
 
-func (f *File) truncate(size int64) error {
+func (f *File) truncate(sp *obs.Span, size int64) error {
 	fs := f.fs
 	if err := fs.usable(); err != nil {
 		return err
@@ -494,9 +496,9 @@ func (f *File) truncate(size int64) error {
 	}
 	fs.chargeOp(0)
 	lock := InodeLock(f.inum)
-	return fs.withLocks([]lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
+	return fs.withLocks(sp, []lockReq{{lock, lockservice.Exclusive}}, true, func(t *txn) error {
 		t.pageOwner = lock
-		e, in, err := fs.loadInode(f.inum)
+		e, in, err := fs.loadInode(sp, f.inum)
 		if err != nil {
 			return err
 		}
@@ -506,7 +508,7 @@ func (f *File) truncate(size int64) error {
 		if size >= in.Size {
 			// Growing: any allocated bytes in the new region are stale
 			// remnants and must read as zeros.
-			fs.zeroRange(in, in.Size, size, lock)
+			fs.zeroRange(sp, in, in.Size, size, lock)
 			in.Size = size
 			in.Mtime = int64(fs.w.Clock.Now())
 			t.putInode(e, in)
@@ -537,7 +539,7 @@ func (f *File) truncate(size int64) error {
 		// extension reads zeros.
 		if size%BlockSize != 0 {
 			if pageAddr, inPage, ok := fs.filePageAddr(in, size); ok {
-				if pe, err := fs.readData(pageAddr, lock); err == nil {
+				if pe, err := fs.readData(sp, pageAddr, lock); err == nil {
 					fs.data.Mutate(func() { clear(pe.Data[inPage:]) })
 					fs.data.MarkDirty(pe, 0)
 				}
@@ -547,7 +549,7 @@ func (f *File) truncate(size int64) error {
 		in.Mtime = int64(fs.w.Clock.Now())
 		t.putInode(e, in)
 		if largeIdx >= 0 {
-			_ = fs.pc.Decommit(fs.vd, fs.lay.LargeAddr(largeIdx), fs.lay.LargeBlockSize)
+			_ = fs.pc.Decommit(sp, fs.vd, fs.lay.LargeAddr(largeIdx), fs.lay.LargeBlockSize)
 		}
 		return nil
 	})
@@ -560,12 +562,12 @@ func (f *File) Sync() error {
 	return f.fs.traced("fsync", f.fsync)
 }
 
-func (f *File) fsync() error {
+func (f *File) fsync(sp *obs.Span) error {
 	fs := f.fs
 	if err := fs.usable(); err != nil {
 		return err
 	}
-	if err := fs.log.Flush(); err != nil {
+	if err := fs.log.FlushIn(sp); err != nil {
 		return err
 	}
 	fs.mu.Lock()
@@ -574,8 +576,8 @@ func (f *File) fsync() error {
 	}
 	fs.mu.Unlock()
 	lock := InodeLock(f.inum)
-	firstErr := fs.flushRuns(fs.meta, fs.meta.DirtyByOwner(lock))
-	if err := fs.flushRuns(fs.data, fs.data.DirtyByOwner(lock)); err != nil && firstErr == nil {
+	firstErr := fs.flushRuns(sp, fs.meta, fs.meta.DirtyByOwner(lock))
+	if err := fs.flushRuns(sp, fs.data, fs.data.DirtyByOwner(lock)); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -240,7 +240,7 @@ func Mkfs(pc *petal.Client, vd petal.VDiskID, lay Layout) error {
 	if err := lay.Validate(); err != nil {
 		return err
 	}
-	if err := pc.Write(vd, lay.ParamsBase, encodeParams(params{
+	if err := pc.Write(nil, vd, lay.ParamsBase, encodeParams(params{
 		Magic:   paramsMagic,
 		Version: 1,
 		Root:    RootInum,
@@ -251,19 +251,19 @@ func Mkfs(pc *petal.Client, vd petal.VDiskID, lay Layout) error {
 	sec := make([]byte, SectorSize)
 	encodeInode(Inode{Type: TypeDir, Nlink: 2}, sec)
 	wal.SetBlockVersion(sec, 1)
-	if err := pc.Write(vd, lay.InodeAddr(RootInum), sec); err != nil {
+	if err := pc.Write(nil, vd, lay.InodeAddr(RootInum), sec); err != nil {
 		return err
 	}
 	// Allocation bit for the root inode.
 	bit := lay.bitFor(classInode, RootInum)
 	addr, byteOff, mask := lay.bitLoc(bit)
 	bsec := make([]byte, SectorSize)
-	if err := pc.Read(vd, addr, bsec); err != nil {
+	if err := pc.Read(nil, vd, addr, bsec); err != nil {
 		return err
 	}
 	bsec[byteOff] |= mask
 	wal.SetBlockVersion(bsec, 1)
-	return pc.Write(vd, addr, bsec)
+	return pc.Write(nil, vd, addr, bsec)
 }
 
 // Mount attaches a new Frangipani server to a shared virtual disk.
@@ -275,7 +275,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		return nil, err
 	}
 	psec := make([]byte, SectorSize)
-	if err := pc.Read(vd, lay.ParamsBase, psec); err != nil {
+	if err := pc.Read(nil, vd, lay.ParamsBase, psec); err != nil {
 		return nil, fmt.Errorf("fs: reading params: %w", err)
 	}
 	if _, err := decodeParams(psec); err != nil {
@@ -315,8 +315,8 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	}
 	fs.meta.SetObs(w.Obs, machine+".meta")
 	fs.data.SetObs(w.Obs, machine+".data")
-	fs.meta.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(fs.meta, e) })
-	fs.data.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(fs.data, e) })
+	fs.meta.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(nil, fs.meta, e) })
+	fs.data.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(nil, fs.data, e) })
 
 	carrier := cfg.Carrier
 	if carrier == nil {
@@ -343,7 +343,7 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	// records from a previous tenancy (already recovered or cleanly
 	// closed) cannot be replayed.
 	zero := make([]byte, lay.LogSize)
-	if err := fs.petalWrite(lay.LogSlotBase(fs.logSlot), zero); err != nil {
+	if err := fs.petalWrite(nil, lay.LogSlotBase(fs.logSlot), zero); err != nil {
 		fs.clerk.Close()
 		return nil, err
 	}
@@ -419,33 +419,50 @@ func (fs *FS) Health() HealthInfo {
 	return hi
 }
 
-// traced wraps one public operation in a root span (joining the
-// caller's trace if the goroutine is already bound to one) and the
-// operation's latency histogram.
-func (fs *FS) traced(op string, fn func() error) error {
-	sp := fs.tr.Start("fs", op)
-	if sp == nil {
-		return fn()
+// traced wraps one public operation in a root span, which fn passes
+// down the stack, and the operation's latency histogram.
+func (fs *FS) traced(op string, fn func(sp *obs.Span) error) error {
+	sp := fs.rootSpan(op)
+	if sp == nil || sp.TraceID == 0 {
+		return fn(sp) // observability unwired
 	}
-	var err error
-	obs.With(sp, func() { err = fn() })
+	err := fn(sp)
 	sp.Done()
 	if h := fs.m.opLat[op]; h != nil {
 		h.Record(sp.Duration())
 	}
 	// Attribute the completed op (and its latency) to the caller's
-	// principal; unbound callers land in the unknown account.
-	fs.acct.Op(obs.CurrentPrincipal(), sp.Duration())
+	// principal; untagged callers land in the unknown account.
+	fs.acct.Op(sp.Principal, sp.Duration())
 	return err
 }
 
+// rootSpan opens the context of a public operation, and is the one
+// place the caller's principal is read: every layer below charges the
+// span's principal. A named op gets a recorded root span; op "" (the
+// untimed Open, Readlink and File.Size) gets an unrecorded stub that
+// only carries the principal, or nil when there is none.
+func (fs *FS) rootSpan(op string) *obs.Span {
+	p := obs.CurrentPrincipal()
+	if op != "" {
+		if sp := fs.tr.Start(nil, "fs", op); sp != nil {
+			sp.Principal = p
+			return sp
+		}
+	}
+	if p == "" {
+		return nil
+	}
+	return &obs.Span{Principal: p}
+}
+
 // accountBytes charges user-level bytes moved (in = written, out =
-// read) to the calling goroutine's principal. Charged at the File API
+// read) to the operation's principal. Charged at the File API
 // boundary, not the Petal boundary: background write-back and
-// prefetch run on flusher goroutines with no binding and would
-// otherwise dilute attribution into unknown.
-func (fs *FS) accountBytes(in, out int) {
-	fs.acct.Bytes(obs.CurrentPrincipal(), int64(in), int64(out))
+// prefetch run with no operation span and would otherwise dilute
+// attribution into unknown.
+func (fs *FS) accountBytes(sp *obs.Span, in, out int) {
+	fs.acct.Bytes(sp.Who(), int64(in), int64(out))
 }
 
 // lat returns a deferred-latency recorder for hot internal paths
@@ -530,27 +547,25 @@ func (fs *FS) chargeOp(bytes int) {
 // than failing, because callers on the revoke path would otherwise
 // silently drop dirty data that the next lock holder depends on.
 // Only a definitively lost lease fails the write.
-func (fs *FS) petalWrite(addr int64, p []byte) error {
-	if err := fs.waitLeaseForWrite(); err != nil {
+func (fs *FS) petalWrite(sp *obs.Span, addr int64, p []byte) error {
+	if err := fs.waitLeaseForWrite(sp); err != nil {
 		return err
 	}
-	return fs.pc.Write(fs.vd, addr, p)
+	return fs.pc.Write(sp, fs.vd, addr, p)
 }
 
 // petalWriteV is the scatter-gather variant of petalWrite: one lease
 // check covers the whole batch, which the Petal driver splits by
 // chunk and dispatches with bounded parallelism.
-func (fs *FS) petalWriteV(exts []petal.Extent) error {
-	if err := fs.waitLeaseForWrite(); err != nil {
+func (fs *FS) petalWriteV(sp *obs.Span, exts []petal.Extent) error {
+	if err := fs.waitLeaseForWrite(sp); err != nil {
 		return err
 	}
-	return fs.pc.WriteV(fs.vd, exts)
+	return fs.pc.WriteVIn(sp, fs.vd, exts)
 }
 
-func (fs *FS) waitLeaseForWrite() error {
-	if sp := fs.tr.Child("lockservice", "lease-check"); sp != nil {
-		defer sp.Done()
-	}
+func (fs *FS) waitLeaseForWrite(sp *obs.Span) error {
+	defer fs.tr.Child(sp, "lockservice", "lease-check").Done()
 	deadline := fs.w.Clock.Now() + sim.Time(2*fs.cfg.Lock.LeaseDuration)
 	for !fs.clerk.LeaseValid(fs.cfg.LeaseMargin) {
 		if fs.clerk.LeaseLost() || fs.w.Clock.Now() >= deadline {
@@ -567,12 +582,18 @@ type logRegion struct {
 	base int64
 }
 
-func (r *logRegion) ReadAt(p []byte, off int64) error {
-	return r.fs.pc.Read(r.fs.vd, r.base+off, p)
+func (r *logRegion) ReadAt(p []byte, off int64) error { return r.ReadAtIn(nil, p, off) }
+
+func (r *logRegion) WriteAt(p []byte, off int64) error { return r.WriteAtIn(nil, p, off) }
+
+// ReadAtIn and WriteAtIn make logRegion a wal.TracedRegion: log
+// flushes pass the flushing operation's span.
+func (r *logRegion) ReadAtIn(sp *obs.Span, p []byte, off int64) error {
+	return r.fs.pc.Read(sp, r.fs.vd, r.base+off, p)
 }
 
-func (r *logRegion) WriteAt(p []byte, off int64) error {
-	return r.fs.petalWrite(r.base+off, p)
+func (r *logRegion) WriteAtIn(sp *obs.Span, p []byte, off int64) error {
+	return r.fs.petalWrite(sp, r.base+off, p)
 }
 
 // directDev adapts the whole virtual disk for WAL replay during
@@ -580,36 +601,35 @@ func (r *logRegion) WriteAt(p []byte, off int64) error {
 type directDev struct{ fs *FS }
 
 func (d *directDev) ReadAt(p []byte, off int64) error {
-	return d.fs.pc.Read(d.fs.vd, off, p)
+	return d.fs.pc.Read(nil, d.fs.vd, off, p)
 }
 
 func (d *directDev) WriteAt(p []byte, off int64) error {
-	return d.fs.petalWrite(off, p)
+	return d.fs.petalWrite(nil, off, p)
 }
 
 // ---- cached block I/O ----
 
 // readMeta returns the cached metadata sector at addr, loading it
 // from Petal on a miss. owner is the covering lock.
-func (fs *FS) readMeta(addr int64, owner uint64) (*cache.Entry, error) {
+func (fs *FS) readMeta(sp *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
 	if e, ok := fs.meta.Lookup(addr); ok {
 		return e, nil
 	}
-	sp := fs.tr.Child("cache", "fill")
-	defer sp.Done()
-	var entry *cache.Entry
-	var err error
-	obs.With(sp, func() {
-		// Pooled scratch: Insert copies into the cache's own page, so
-		// the fill buffer recycles immediately.
+	// Misses force a backing read; charge the operation that took the
+	// fault.
+	fs.acct.CacheMiss(sp.Who(), 1)
+	csp := fs.tr.Child(sp, "cache", "fill")
+	defer csp.Done()
+	// Pooled scratch: Insert copies into the cache's own page, so the
+	// fill buffer recycles immediately.
 		bufp := bufpool.Get(SectorSize)
 		defer bufpool.Put(bufp)
 		buf := *bufp
-		if err = fs.pc.Read(fs.vd, addr, buf); err == nil {
-			entry = fs.meta.Insert(addr, buf, owner)
+	if err := fs.pc.Read(csp, fs.vd, addr, buf); err != nil {
+		return nil, err
 		}
-	})
-	return entry, err
+	return fs.meta.Insert(addr, buf, owner), nil
 }
 
 // metaFill names one metadata sector and the lock that covers it.
@@ -625,7 +645,7 @@ type metaFill struct {
 // cold scan costs one round trip instead of one per sector. Callers
 // then go through readMeta for the decoded entries; after a
 // successful batch those are hits.
-func (fs *FS) readMetaBatch(fills []metaFill) error {
+func (fs *FS) readMetaBatch(sp *obs.Span, fills []metaFill) error {
 	var miss []metaFill
 	for _, f := range fills {
 		if _, ok := fs.meta.Lookup(f.addr); !ok {
@@ -635,40 +655,38 @@ func (fs *FS) readMetaBatch(fills []metaFill) error {
 	if len(miss) == 0 {
 		return nil
 	}
-	sp := fs.tr.Child("cache", "fillv")
-	defer sp.Done()
-	var err error
-	obs.With(sp, func() {
+	fs.acct.CacheMiss(sp.Who(), int64(len(miss)))
+	csp := fs.tr.Child(sp, "cache", "fillv")
+	defer csp.Done()
 		bufsp := bufpool.Get(len(miss) * SectorSize)
 		defer bufpool.Put(bufsp)
 		bufs := *bufsp
 		exts := make([]petal.ReadExtent, len(miss))
 		for i := range miss {
 			exts[i] = petal.ReadExtent{Off: miss[i].addr, Dst: bufs[i*SectorSize : (i+1)*SectorSize]}
+	}
+	if err := fs.pc.ReadVIn(csp, fs.vd, exts); err != nil {
+		return err
+	}
+	fs.m.metaBatch.Inc()
+	fs.m.metaBatchSectors.Add(int64(len(miss)))
+	for i, f := range miss {
+		// A concurrent reader may have raced the sector in — or a
+		// writer may have dirtied it; keep theirs.
+		if _, hit := fs.meta.Lookup(f.addr); hit {
+			continue
 		}
-		if err = fs.pc.ReadV(fs.vd, exts); err != nil {
-			return
-		}
-		fs.m.metaBatch.Inc()
-		fs.m.metaBatchSectors.Add(int64(len(miss)))
-		for i, f := range miss {
-			// A concurrent reader may have raced the sector in — or a
-			// writer may have dirtied it; keep theirs.
-			if _, hit := fs.meta.Lookup(f.addr); hit {
-				continue
-			}
 			fs.meta.Insert(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
 		}
-	})
-	return err
+	return nil
 }
 
 // readData returns the cached 4 KB data page at addr.
-func (fs *FS) readData(addr int64, owner uint64) (*cache.Entry, error) {
+func (fs *FS) readData(sp *obs.Span, addr int64, owner uint64) (*cache.Entry, error) {
 	if e, ok := fs.data.Lookup(addr); ok {
 		return e, nil
 	}
-	return fs.readDataRun(addr, 1, owner)
+	return fs.readDataRun(sp, addr, 1, owner)
 }
 
 // readDataRun fetches count contiguous pages from Petal in one read
@@ -676,7 +694,7 @@ func (fs *FS) readData(addr int64, owner uint64) (*cache.Entry, error) {
 // large sequential reads at one RPC per 64 KB chunk instead of one
 // per page; single-flight claiming stops the foreground read and the
 // prefetcher from fetching the same pages twice.
-func (fs *FS) readDataRun(addr int64, count int, owner uint64) (*cache.Entry, error) {
+func (fs *FS) readDataRun(sp *obs.Span, addr int64, count int, owner uint64) (*cache.Entry, error) {
 	for {
 		fs.fetchMu.Lock()
 		if ch, busy := fs.inflight[addr]; busy {
@@ -700,29 +718,10 @@ func (fs *FS) readDataRun(addr int64, count int, owner uint64) (*cache.Entry, er
 		}
 		fs.fetchMu.Unlock()
 
-		var first *cache.Entry
-		var err error
-		sp := fs.tr.Child("cache", "fill")
-		obs.With(sp, func() {
-			bufp := bufpool.Get(n * BlockSize)
-			defer bufpool.Put(bufp)
-			buf := *bufp
-			err = fs.pc.Read(fs.vd, addr, buf)
-			if err == nil {
-				fs.m.bytesRead.Add(int64(len(buf)))
-				first = fs.data.Insert(addr, buf[:BlockSize], owner)
-				for i := 1; i < n; i++ {
-					// A concurrent writer may have raced a page in; keep
-					// theirs.
-					pageAddr := addr + int64(i)*BlockSize
-					if _, hit := fs.data.Lookup(pageAddr); hit {
-						continue
-					}
-					fs.data.Insert(pageAddr, buf[i*BlockSize:(i+1)*BlockSize], owner)
-				}
-			}
-		})
-		sp.Done()
+		fs.acct.CacheMiss(sp.Who(), int64(n))
+		csp := fs.tr.Child(sp, "cache", "fill")
+		first, err := fs.fillData(csp, addr, n, owner)
+		csp.Done()
 		fs.fetchMu.Lock()
 		for i := 0; i < n; i++ {
 			delete(fs.inflight, addr+int64(i)*BlockSize)
@@ -733,11 +732,33 @@ func (fs *FS) readDataRun(addr int64, count int, owner uint64) (*cache.Entry, er
 	}
 }
 
+// fillData reads n pages at addr from Petal and inserts them,
+// returning the first.
+func (fs *FS) fillData(sp *obs.Span, addr int64, n int, owner uint64) (*cache.Entry, error) {
+	bufp := bufpool.Get(n * BlockSize)
+	defer bufpool.Put(bufp)
+	buf := *bufp
+	if err := fs.pc.Read(sp, fs.vd, addr, buf); err != nil {
+		return nil, err
+	}
+	fs.m.bytesRead.Add(int64(len(buf)))
+	first := fs.data.Insert(addr, buf[:BlockSize], owner)
+	for i := 1; i < n; i++ {
+		// A concurrent writer may have raced a page in; keep theirs.
+		pageAddr := addr + int64(i)*BlockSize
+		if _, hit := fs.data.Lookup(pageAddr); hit {
+			continue
+		}
+		fs.data.Insert(pageAddr, buf[i*BlockSize:(i+1)*BlockSize], owner)
+	}
+	return first, nil
+}
+
 // ensureLogFlushed enforces write-ahead order: before a block dirtied
 // by the record at seq may be written to Petal, the log must be
 // durable through seq. Concurrent callers group-commit inside the
 // WAL, so redundant calls are cheap.
-func (fs *FS) ensureLogFlushed(seq int64) error {
+func (fs *FS) ensureLogFlushed(sp *obs.Span, seq int64) error {
 	if seq == 0 {
 		return nil
 	}
@@ -748,7 +769,7 @@ func (fs *FS) ensureLogFlushed(seq int64) error {
 	if !need {
 		return nil
 	}
-	if err := fs.log.Flush(); err != nil {
+	if err := fs.log.FlushIn(sp); err != nil {
 		return err
 	}
 	fs.mu.Lock()
@@ -761,13 +782,13 @@ func (fs *FS) ensureLogFlushed(seq int64) error {
 
 // flushEntry makes one dirty entry durable, honoring write-ahead
 // order: the log is forced through the entry's sequence first.
-func (fs *FS) flushEntry(pool *cache.Pool, e *cache.Entry) error {
-	if err := fs.ensureLogFlushed(pool.EntrySeq(e)); err != nil {
+func (fs *FS) flushEntry(sp *obs.Span, pool *cache.Pool, e *cache.Entry) error {
+	if err := fs.ensureLogFlushed(sp, pool.EntrySeq(e)); err != nil {
 		return err
 	}
 	buf := make([]byte, pool.BlockSize())
 	gens := pool.SnapshotBatch([]*cache.Entry{e}, buf)
-	if err := fs.petalWrite(e.Addr, buf); err != nil {
+	if err := fs.petalWrite(sp, e.Addr, buf); err != nil {
 		return err
 	}
 	fs.m.bytesWritten.Add(int64(len(buf)))
@@ -788,6 +809,7 @@ type span struct{ lo, hi int }
 // atomically per block) and marks the touched cache entries dirty.
 type txn struct {
 	fs      *FS
+	sp      *obs.Span // the operation's span
 	touched []*cache.Entry
 	spans   map[*cache.Entry][]span
 	segs    []uint64 // bitmap segment locks acquired by the allocator
@@ -796,8 +818,8 @@ type txn struct {
 	pageOwner uint64
 }
 
-func (fs *FS) begin() *txn {
-	return &txn{fs: fs, spans: make(map[*cache.Entry][]span)}
+func (fs *FS) begin(sp *obs.Span) *txn {
+	return &txn{fs: fs, sp: sp, spans: make(map[*cache.Entry][]span)}
 }
 
 // update writes newBytes at off into the entry, recording the
@@ -890,7 +912,7 @@ func (t *txn) commit() error {
 	if len(ups) == 0 {
 		return nil
 	}
-	seq, err := t.fs.log.Append(ups)
+	seq, err := t.fs.log.AppendIn(t.sp, ups)
 	if err != nil {
 		return err
 	}
@@ -903,7 +925,7 @@ func (t *txn) commit() error {
 	}
 	t.fs.mu.Unlock()
 	if t.fs.cfg.SyncLog {
-		if err := t.fs.log.Flush(); err != nil {
+		if err := t.fs.log.FlushIn(t.sp); err != nil {
 			return err
 		}
 		t.fs.mu.Lock()
@@ -919,7 +941,7 @@ func (t *txn) commit() error {
 // the transaction's locks are released (used for locks discovered
 // mid-operation, like a freshly allocated inode's).
 func (t *txn) lockExtra(id uint64) error {
-	if err := t.fs.clerk.Lock(id, lockExtraMode); err != nil {
+	if err := t.fs.clerk.LockIn(t.sp, id, lockExtraMode); err != nil {
 		return err
 	}
 	t.segs = append(t.segs, id)
@@ -948,7 +970,7 @@ func (fs *FS) Sync() error {
 	return fs.traced("sync", fs.sync)
 }
 
-func (fs *FS) sync() error {
+func (fs *FS) sync(sp *obs.Span) error {
 	fs.mu.Lock()
 	if fs.closed && fs.poisoned {
 		fs.mu.Unlock()
@@ -957,7 +979,7 @@ func (fs *FS) sync() error {
 	target := fs.appended
 	fs.mu.Unlock()
 
-	if err := fs.log.Flush(); err != nil {
+	if err := fs.log.FlushIn(sp); err != nil {
 		return err
 	}
 	fs.mu.Lock()
@@ -968,21 +990,20 @@ func (fs *FS) sync() error {
 
 	var metaErr, dataErr error
 	if fs.cfg.FlushParallelism > 1 {
-		cur := obs.Current()
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			obs.With(cur, func() { metaErr = fs.flushRuns(fs.meta, fs.meta.AllDirty()) })
+			metaErr = fs.flushRuns(sp, fs.meta, fs.meta.AllDirty())
 		}()
 		go func() {
 			defer wg.Done()
-			obs.With(cur, func() { dataErr = fs.flushRuns(fs.data, fs.data.AllDirty()) })
+			dataErr = fs.flushRuns(sp, fs.data, fs.data.AllDirty())
 		}()
 		wg.Wait()
 	} else {
-		metaErr = fs.flushRuns(fs.meta, fs.meta.AllDirty())
-		dataErr = fs.flushRuns(fs.data, fs.data.AllDirty())
+		metaErr = fs.flushRuns(sp, fs.meta, fs.meta.AllDirty())
+		dataErr = fs.flushRuns(sp, fs.data, fs.data.AllDirty())
 	}
 	firstErr := metaErr
 	if firstErr == nil {
@@ -1012,19 +1033,14 @@ func (fs *FS) writeBehind() {
 	fs.wbBusy = true
 	fs.wbMu.Unlock()
 	go func() {
-		_ = fs.flushDataBatch(dirty)
+		// Pages are coalesced into large runs — the paper's
+		// "clustering writes to Petal into naturally aligned 64 KB
+		// blocks" — which the Petal driver transfers chunk-parallel.
+		_ = fs.flushRuns(nil, fs.data, dirty)
 		fs.wbMu.Lock()
 		fs.wbBusy = false
 		fs.wbMu.Unlock()
 	}()
-}
-
-// flushDataBatch writes back dirty data pages, coalescing adjacent
-// pages into large runs — the paper's "clustering writes to Petal
-// into naturally aligned 64 KB blocks" — which the Petal driver
-// transfers chunk-parallel.
-func (fs *FS) flushDataBatch(dirty []*cache.Entry) error {
-	return fs.flushRuns(fs.data, dirty)
 }
 
 // flushRun is one coalesced write-back unit: contiguous dirty blocks
@@ -1078,20 +1094,20 @@ const maxBatchBytes = 1 << 20
 // scatter-gather batches and dispatches them through a bounded worker
 // pool, so one cache-sync round trip carries many runs and transfers
 // overlap.
-func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
+func (fs *FS) flushRuns(sp *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
 		return nil
 	}
 	// Log-before-data: force the log through the newest record
 	// covering any of these blocks before writing them in place.
-	if err := fs.ensureLogFlushed(pool.MaxSeq(dirty)); err != nil {
+	if err := fs.ensureLogFlushed(sp, pool.MaxSeq(dirty)); err != nil {
 		return err
 	}
 	runs := coalesceRuns(pool, dirty)
 	if fs.cfg.FlushParallelism <= 1 {
 		var firstErr error
 		for _, r := range runs {
-			if err := fs.writeRun(pool, r); err != nil && firstErr == nil {
+			if err := fs.writeRun(sp, pool, r); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -1111,13 +1127,13 @@ func (fs *FS) flushRuns(pool *cache.Pool, dirty []*cache.Entry) error {
 	}
 	batches = append(batches, cur)
 	return fs.flushWorkers(len(batches), func(i int) error {
-		return fs.writeRunBatch(pool, batches[i])
+		return fs.writeRunBatch(sp, pool, batches[i])
 	})
 }
 
 // writeRun writes one coalesced run synchronously (serial path).
-func (fs *FS) writeRun(pool *cache.Pool, r flushRun) error {
-	if err := fs.petalWrite(r.addr, r.buf); err != nil {
+func (fs *FS) writeRun(sp *obs.Span, pool *cache.Pool, r flushRun) error {
+	if err := fs.petalWrite(sp, r.addr, r.buf); err != nil {
 		return err
 	}
 	pool.MarkCleanIfBatch(r.entries, r.gens)
@@ -1129,14 +1145,14 @@ func (fs *FS) writeRun(pool *cache.Pool, r flushRun) error {
 
 // writeRunBatch sends one batch of runs as a single scatter-gather
 // write and marks the covered entries clean on success.
-func (fs *FS) writeRunBatch(pool *cache.Pool, batch []flushRun) error {
+func (fs *FS) writeRunBatch(sp *obs.Span, pool *cache.Pool, batch []flushRun) error {
 	exts := make([]petal.Extent, len(batch))
 	total := 0
 	for i, r := range batch {
 		exts[i] = petal.Extent{Off: r.addr, Data: r.buf}
 		total += len(r.buf)
 	}
-	if err := fs.petalWriteV(exts); err != nil {
+	if err := fs.petalWriteV(sp, exts); err != nil {
 		return err
 	}
 	fs.m.bytesWritten.Add(int64(total))
@@ -1171,7 +1187,6 @@ func (fs *FS) flushWorkers(n int, fn func(int) error) error {
 	}
 	sem := make(chan struct{}, par)
 	errCh := make(chan error, n)
-	cur := obs.Current()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -1179,7 +1194,7 @@ func (fs *FS) flushWorkers(n int, fn func(int) error) error {
 		go func(i int) {
 			defer wg.Done()
 			fs.noteFlushInFlight(1)
-			obs.With(cur, func() { errCh <- fn(i) })
+			errCh <- fn(i)
 			fs.noteFlushInFlight(-1)
 			<-sem
 		}(i)
@@ -1218,7 +1233,7 @@ func (fs *FS) reclaimLog(through int64) {
 			old = append(old, e)
 		}
 	}
-	if err := fs.flushRuns(fs.meta, old); err == nil {
+	if err := fs.flushRuns(nil, fs.meta, old); err == nil {
 		fs.log.Release(through)
 	}
 }
@@ -1226,13 +1241,13 @@ func (fs *FS) reclaimLog(through int64) {
 // ---- lock service callbacks ----
 
 // onRevoke implements §5's coherence actions when another server
-// wants a conflicting lock.
-func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
+// wants a conflicting lock; sp is the revoke's root span.
+func (fs *FS) onRevoke(sp *obs.Span, lock uint64, to lockservice.Mode) {
 	fs.trace("onRevoke lock=%x to=%v dirtyMeta=%d dirtyData=%d", lock, to,
 		len(fs.meta.DirtyByOwner(lock)), len(fs.data.DirtyByOwner(lock)))
 	switch lock & (0xff << 56) {
 	case lockTagInode:
-		fs.flushOwner(lock)
+		fs.flushOwner(sp, lock)
 		if to == lockservice.None {
 			fs.meta.InvalidateByOwner(lock)
 			fs.data.InvalidateByOwner(lock)
@@ -1243,7 +1258,7 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 			fs.raMu.Unlock()
 		}
 	case lockTagBitmap:
-		fs.flushOwner(lock)
+		fs.flushOwner(sp, lock)
 		fs.dropSegment(lock)
 		if to == lockservice.None {
 			fs.meta.InvalidateByOwner(lock)
@@ -1262,7 +1277,7 @@ func (fs *FS) onRevoke(lock uint64, to lockservice.Mode) {
 // handoff, not drop the data — so this retries until everything is
 // clean or the lease is definitively lost (in which case the lock
 // service runs recovery from our log instead).
-func (fs *FS) flushOwner(lock uint64) {
+func (fs *FS) flushOwner(sp *obs.Span, lock uint64) {
 	for {
 		dirtyMeta := fs.meta.DirtyByOwner(lock)
 		dirtyData := fs.data.DirtyByOwner(lock)
@@ -1270,10 +1285,10 @@ func (fs *FS) flushOwner(lock uint64) {
 			return
 		}
 		ok := true
-		if err := fs.flushRuns(fs.meta, dirtyMeta); err != nil {
+		if err := fs.flushRuns(sp, fs.meta, dirtyMeta); err != nil {
 			ok = false
 		}
-		if err := fs.flushRuns(fs.data, dirtyData); err != nil {
+		if err := fs.flushRuns(sp, fs.data, dirtyData); err != nil {
 			ok = false
 		}
 		if ok {

@@ -63,7 +63,7 @@ func TestGuardedWritesRejectExpiredLease(t *testing.T) {
 	pc.SetLeaseInfo(func() (int64, uint64) { return 1, 99 }) // expired eons ago
 	// Without a guard configured the write passes; this documents the
 	// knob rather than the default.
-	if err := pc.Write(w.vd, w.lay.ParamsBase+512, make([]byte, 512)); err != nil {
+	if err := pc.Write(nil, w.vd, w.lay.ParamsBase+512, make([]byte, 512)); err != nil {
 		t.Fatalf("unguarded write: %v", err)
 	}
 }

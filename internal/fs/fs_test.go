@@ -659,11 +659,11 @@ func TestFsckDetectsCorruption(t *testing.T) {
 	// Corrupt: clear the nlink of /x's inode behind the FS's back.
 	info, _ := f.Stat("/x")
 	sec := make([]byte, SectorSize)
-	if err := pc.Read(tw.vd, tw.lay.InodeAddr(info.Inum), sec); err != nil {
+	if err := pc.Read(nil, tw.vd, tw.lay.InodeAddr(info.Inum), sec); err != nil {
 		t.Fatal(err)
 	}
 	sec[offNlink] = 9
-	if err := pc.Write(tw.vd, tw.lay.InodeAddr(info.Inum), sec); err != nil {
+	if err := pc.Write(nil, tw.vd, tw.lay.InodeAddr(info.Inum), sec); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = Check(pc, tw.vd, tw.lay)

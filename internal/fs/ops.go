@@ -7,6 +7,7 @@ import (
 
 	"frangipani/internal/cache"
 	"frangipani/internal/lockservice"
+	"frangipani/internal/obs"
 )
 
 // maxRetries bounds the §5 retry loop ("it releases the locks and
@@ -39,7 +40,7 @@ type lockReq struct {
 // phase one read and may return ErrRetry), commits the transaction,
 // and releases everything. Mutating operations additionally hold the
 // global backup barrier lock in shared mode (§8).
-func (fs *FS) withLocks(reqs []lockReq, mutating bool, fn func(t *txn) error) error {
+func (fs *FS) withLocks(sp *obs.Span, reqs []lockReq, mutating bool, fn func(t *txn) error) error {
 	if mutating {
 		reqs = append(reqs, lockReq{LockBarrier, lockservice.Shared})
 	}
@@ -57,7 +58,7 @@ func (fs *FS) withLocks(reqs []lockReq, mutating bool, fn func(t *txn) error) er
 	}
 	var held []uint64
 	for _, r := range dedup {
-		if err := fs.clerk.Lock(r.id, r.mode); err != nil {
+		if err := fs.clerk.LockIn(sp, r.id, r.mode); err != nil {
 			for i := len(held) - 1; i >= 0; i-- {
 				fs.clerk.Unlock(held[i])
 			}
@@ -65,7 +66,7 @@ func (fs *FS) withLocks(reqs []lockReq, mutating bool, fn func(t *txn) error) er
 		}
 		held = append(held, r.id)
 	}
-	t := fs.begin()
+	t := fs.begin(sp)
 	err := fn(t)
 	if err == nil {
 		err = t.commit()
@@ -77,24 +78,26 @@ func (fs *FS) withLocks(reqs []lockReq, mutating bool, fn func(t *txn) error) er
 	return err
 }
 
-// retrying runs fn until it stops returning ErrRetry.
-func (fs *FS) retrying(fn func() error) error {
-	for i := 0; i < maxRetries; i++ {
-		err := fn()
-		if !errors.Is(err, ErrRetry) {
-			return err
+// retrying wraps fn to run until it stops returning ErrRetry.
+func (fs *FS) retrying(fn func(sp *obs.Span) error) func(sp *obs.Span) error {
+	return func(sp *obs.Span) error {
+		for i := 0; i < maxRetries; i++ {
+			err := fn(sp)
+			if !errors.Is(err, ErrRetry) {
+				return err
+			}
+			fs.m.retries.Inc()
 		}
-		fs.m.retries.Inc()
+		return ErrRetry
 	}
-	return ErrRetry
 }
 
 // ---- inode access ----
 
 // loadInode reads and decodes an inode under its (already held)
 // lock.
-func (fs *FS) loadInode(inum int64) (*cache.Entry, Inode, error) {
-	e, err := fs.readMeta(fs.lay.InodeAddr(inum), InodeLock(inum))
+func (fs *FS) loadInode(sp *obs.Span, inum int64) (*cache.Entry, Inode, error) {
+	e, err := fs.readMeta(sp, fs.lay.InodeAddr(inum), InodeLock(inum))
 	if err != nil {
 		return nil, Inode{}, err
 	}
@@ -147,18 +150,18 @@ func splitPath(path string) ([]string, error) {
 
 // lookupOnce finds name in directory inum with a shared lock held
 // only for the lookup (phase-one style).
-func (fs *FS) lookupOnce(dir int64, name string) (DirEntry, error) {
+func (fs *FS) lookupOnce(sp *obs.Span, dir int64, name string) (DirEntry, error) {
 	defer fs.lat("lookup")()
 	var out DirEntry
-	err := fs.withLocks([]lockReq{{InodeLock(dir), lockservice.Shared}}, false, func(t *txn) error {
-		_, in, err := fs.loadInode(dir)
+	err := fs.withLocks(sp, []lockReq{{InodeLock(dir), lockservice.Shared}}, false, func(t *txn) error {
+		_, in, err := fs.loadInode(sp, dir)
 		if err != nil {
 			return err
 		}
 		if in.Type != TypeDir {
 			return ErrNotDir
 		}
-		e, _, _, err := fs.dirFind(dir, in, name)
+		e, _, _, err := fs.dirFind(sp, dir, in, name)
 		if err != nil {
 			return err
 		}
@@ -169,11 +172,11 @@ func (fs *FS) lookupOnce(dir int64, name string) (DirEntry, error) {
 }
 
 // namei resolves a path to an inode number, following symlinks.
-func (fs *FS) namei(path string, followLast bool) (int64, error) {
-	return fs.nameiDepth(path, followLast, 0)
+func (fs *FS) namei(sp *obs.Span, path string, followLast bool) (int64, error) {
+	return fs.nameiDepth(sp, path, followLast, 0)
 }
 
-func (fs *FS) nameiDepth(path string, followLast bool, depth int) (int64, error) {
+func (fs *FS) nameiDepth(sp *obs.Span, path string, followLast bool, depth int) (int64, error) {
 	if depth > maxSymlinkDepth {
 		return -1, ErrInval
 	}
@@ -183,13 +186,13 @@ func (fs *FS) nameiDepth(path string, followLast bool, depth int) (int64, error)
 	}
 	cur := int64(RootInum)
 	for i, name := range parts {
-		ent, err := fs.lookupOnce(cur, name)
+		ent, err := fs.lookupOnce(sp, cur, name)
 		if err != nil {
 			return -1, err
 		}
 		last := i == len(parts)-1
 		if ent.Type == TypeSymlink && (!last || followLast) {
-			target, err := fs.readlinkInum(ent.Inum)
+			target, err := fs.readlinkInum(sp, ent.Inum)
 			if err != nil {
 				return -1, err
 			}
@@ -200,7 +203,7 @@ func (fs *FS) nameiDepth(path string, followLast bool, depth int) (int64, error)
 			} else {
 				next = strings.Join(parts[:i], "/") + "/" + target + "/" + rest
 			}
-			return fs.nameiDepth(next, followLast, depth+1)
+			return fs.nameiDepth(sp, next, followLast, depth+1)
 		}
 		cur = ent.Inum
 	}
@@ -209,7 +212,7 @@ func (fs *FS) nameiDepth(path string, followLast bool, depth int) (int64, error)
 
 // nameiParent resolves all but the last component, returning the
 // parent directory inode and the final name.
-func (fs *FS) nameiParent(path string) (int64, string, error) {
+func (fs *FS) nameiParent(sp *obs.Span, path string) (int64, string, error) {
 	parts, err := splitPath(path)
 	if err != nil {
 		return -1, "", err
@@ -218,17 +221,17 @@ func (fs *FS) nameiParent(path string) (int64, string, error) {
 		return -1, "", ErrInval
 	}
 	dirPath := strings.Join(parts[:len(parts)-1], "/")
-	dir, err := fs.namei("/"+dirPath, true)
+	dir, err := fs.namei(sp, "/"+dirPath, true)
 	if err != nil {
 		return -1, "", err
 	}
 	return dir, parts[len(parts)-1], nil
 }
 
-func (fs *FS) readlinkInum(inum int64) (string, error) {
+func (fs *FS) readlinkInum(sp *obs.Span, inum int64) (string, error) {
 	var target string
-	err := fs.withLocks([]lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
-		_, in, err := fs.loadInode(inum)
+	err := fs.withLocks(sp, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+		_, in, err := fs.loadInode(sp, inum)
 		if err != nil {
 			return err
 		}
@@ -256,13 +259,13 @@ func (fs *FS) dirSectorAddr(in Inode, off int64) (int64, bool) {
 // dirFind scans a directory for name. dirInum's lock must be held;
 // the content sectors are cached under it so revocation flushes and
 // invalidates them with the directory.
-func (fs *FS) dirFind(dirInum int64, in Inode, name string) (DirEntry, int64, int, error) {
+func (fs *FS) dirFind(sp *obs.Span, dirInum int64, in Inode, name string) (DirEntry, int64, int, error) {
 	for off := int64(0); off < in.Size; off += SectorSize {
 		addr, ok := fs.dirSectorAddr(in, off)
 		if !ok {
 			return DirEntry{}, 0, 0, ErrBadDir
 		}
-		e, err := fs.readMeta(addr, InodeLock(dirInum))
+		e, err := fs.readMeta(sp, addr, InodeLock(dirInum))
 		if err != nil {
 			return DirEntry{}, 0, 0, err
 		}
@@ -277,7 +280,7 @@ func (fs *FS) dirFind(dirInum int64, in Inode, name string) (DirEntry, int64, in
 // sector addresses are collected up front and any misses fetched with
 // one scatter-gather read, so a cold scan costs one Petal round trip
 // instead of one per sector.
-func (fs *FS) dirEntries(dirInum int64, in Inode) ([]DirEntry, error) {
+func (fs *FS) dirEntries(sp *obs.Span, dirInum int64, in Inode) ([]DirEntry, error) {
 	lockID := InodeLock(dirInum)
 	var fills []metaFill
 	for off := int64(0); off < in.Size; off += SectorSize {
@@ -287,12 +290,12 @@ func (fs *FS) dirEntries(dirInum int64, in Inode) ([]DirEntry, error) {
 		}
 		fills = append(fills, metaFill{addr: addr, owner: lockID})
 	}
-	if err := fs.readMetaBatch(fills); err != nil {
+	if err := fs.readMetaBatch(sp, fills); err != nil {
 		return nil, err
 	}
 	var out []DirEntry
 	for _, f := range fills {
-		e, err := fs.readMeta(f.addr, lockID)
+		e, err := fs.readMeta(sp, f.addr, lockID)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +320,7 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 		if !ok {
 			return ErrBadDir
 		}
-		e, err := fs.readMeta(addr, lockID)
+		e, err := fs.readMeta(t.sp, addr, lockID)
 		if err != nil {
 			return err
 		}
@@ -340,7 +343,7 @@ func (fs *FS) dirAdd(t *txn, dirInum int64, inodeE *cache.Entry, in *Inode, ent 
 	if !ok {
 		return ErrBadDir
 	}
-	e, err := fs.readMeta(addr, lockID)
+	e, err := fs.readMeta(t.sp, addr, lockID)
 	if err != nil {
 		return err
 	}
@@ -366,7 +369,7 @@ func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
 		if !ok {
 			return ErrBadDir
 		}
-		e, err := fs.readMeta(a, lockID)
+		e, err := fs.readMeta(t.sp, a, lockID)
 		if err != nil {
 			return err
 		}
@@ -378,7 +381,7 @@ func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
 	if !found {
 		return ErrNotExist
 	}
-	e, err := fs.readMeta(addr, lockID)
+	e, err := fs.readMeta(t.sp, addr, lockID)
 	if err != nil {
 		return err
 	}
@@ -389,8 +392,8 @@ func (fs *FS) dirRemove(t *txn, dirInum int64, in Inode, name string) error {
 }
 
 // dirEmpty reports whether a directory has no entries.
-func (fs *FS) dirEmpty(dirInum int64, in Inode) (bool, error) {
-	es, err := fs.dirEntries(dirInum, in)
+func (fs *FS) dirEmpty(sp *obs.Span, dirInum int64, in Inode) (bool, error) {
+	es, err := fs.dirEntries(sp, dirInum, in)
 	return len(es) == 0, err
 }
 
@@ -403,13 +406,13 @@ func (fs *FS) Stat(path string) (Info, error) {
 	}
 	fs.chargeOp(0)
 	var info Info
-	do := func() error {
-		inum, err := fs.namei(path, true)
+	do := func(sp *obs.Span) error {
+		inum, err := fs.namei(sp, path, true)
 		if err != nil {
 			return err
 		}
-		return fs.withLocks([]lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
-			_, in, err := fs.loadInode(inum)
+		return fs.withLocks(sp, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+			_, in, err := fs.loadInode(sp, inum)
 			if err != nil {
 				return err
 			}
@@ -423,7 +426,7 @@ func (fs *FS) Stat(path string) (Info, error) {
 			return nil
 		})
 	}
-	err := fs.traced("stat", func() error { return fs.retrying(do) })
+	err := fs.traced("stat", fs.retrying(do))
 	return info, err
 }
 
@@ -434,24 +437,24 @@ func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
 	}
 	fs.chargeOp(0)
 	var out []DirEntry
-	do := func() error {
-		inum, err := fs.namei(path, true)
+	do := func(sp *obs.Span) error {
+		inum, err := fs.namei(sp, path, true)
 		if err != nil {
 			return err
 		}
-		return fs.withLocks([]lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
-			_, in, err := fs.loadInode(inum)
+		return fs.withLocks(sp, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+			_, in, err := fs.loadInode(sp, inum)
 			if err != nil {
 				return err
 			}
 			if in.Type != TypeDir {
 				return ErrNotDir
 			}
-			out, err = fs.dirEntries(inum, in)
+			out, err = fs.dirEntries(sp, inum, in)
 			return err
 		})
 	}
-	err := fs.traced("readdir", func() error { return fs.retrying(do) })
+	err := fs.traced("readdir", fs.retrying(do))
 	return out, err
 }
 
@@ -469,23 +472,23 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 	fs.chargeOp(0)
 	var ents []DirEntry
 	var infos []Info
-	do := func() error {
-		inum, err := fs.namei(path, true)
+	do := func(sp *obs.Span) error {
+		inum, err := fs.namei(sp, path, true)
 		if err != nil {
 			return err
 		}
 		// Phase one: list under the directory lock alone to learn which
 		// inode locks the stat pass needs.
 		var listed []DirEntry
-		err = fs.withLocks([]lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
-			_, in, err := fs.loadInode(inum)
+		err = fs.withLocks(sp, []lockReq{{InodeLock(inum), lockservice.Shared}}, false, func(t *txn) error {
+			_, in, err := fs.loadInode(sp, inum)
 			if err != nil {
 				return err
 			}
 			if in.Type != TypeDir {
 				return ErrNotDir
 			}
-			listed, err = fs.dirEntries(inum, in)
+			listed, err = fs.dirEntries(sp, inum, in)
 			return err
 		})
 		if err != nil {
@@ -499,15 +502,15 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 		for _, ent := range listed {
 			reqs = append(reqs, lockReq{InodeLock(ent.Inum), lockservice.Shared})
 		}
-		return fs.withLocks(reqs, false, func(t *txn) error {
-			_, in, err := fs.loadInode(inum)
+		return fs.withLocks(sp, reqs, false, func(t *txn) error {
+			_, in, err := fs.loadInode(sp, inum)
 			if err != nil {
 				return err
 			}
 			if in.Type != TypeDir {
 				return ErrNotDir
 			}
-			ents, err = fs.dirEntries(inum, in)
+			ents, err = fs.dirEntries(sp, inum, in)
 			if err != nil {
 				return err
 			}
@@ -518,12 +521,12 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 			for i, ent := range ents {
 				fills[i] = metaFill{addr: fs.lay.InodeAddr(ent.Inum), owner: InodeLock(ent.Inum)}
 			}
-			if err := fs.readMetaBatch(fills); err != nil {
+			if err := fs.readMetaBatch(sp, fills); err != nil {
 				return err
 			}
 			infos = infos[:0]
 			for _, ent := range ents {
-				_, ein, err := fs.loadInode(ent.Inum)
+				_, ein, err := fs.loadInode(sp, ent.Inum)
 				if err != nil {
 					return err
 				}
@@ -538,7 +541,7 @@ func (fs *FS) ReadDirPlus(path string) ([]DirEntry, []Info, error) {
 			return nil
 		})
 	}
-	err := fs.traced("readdirplus", func() error { return fs.retrying(do) })
+	err := fs.traced("readdirplus", fs.retrying(do))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -566,13 +569,13 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 	}
 	fs.chargeOp(0)
 	var newInum int64 = -1
-	do := func() error {
-		dir, name, err := fs.nameiParent(path)
+	do := func(sp *obs.Span) error {
+		dir, name, err := fs.nameiParent(sp, path)
 		if err != nil {
 			return err
 		}
-		return fs.withLocks([]lockReq{{InodeLock(dir), lockservice.Exclusive}}, true, func(t *txn) error {
-			dirE, din, err := fs.loadInode(dir)
+		return fs.withLocks(sp, []lockReq{{InodeLock(dir), lockservice.Exclusive}}, true, func(t *txn) error {
+			dirE, din, err := fs.loadInode(sp, dir)
 			if err != nil {
 				return err
 			}
@@ -582,7 +585,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 			if din.Type != TypeDir {
 				return ErrNotDir
 			}
-			if _, _, _, err := fs.dirFind(dir, din, name); err == nil {
+			if _, _, _, err := fs.dirFind(sp, dir, din, name); err == nil {
 				return ErrExist
 			} else if !errors.Is(err, ErrNotExist) {
 				return err
@@ -606,7 +609,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 			if ftype == TypeDir {
 				nin.Nlink = 2
 			}
-			ie, err := fs.readMeta(fs.lay.InodeAddr(inum), InodeLock(inum))
+			ie, err := fs.readMeta(sp, fs.lay.InodeAddr(inum), InodeLock(inum))
 			if err != nil {
 				return err
 			}
@@ -623,7 +626,7 @@ func (fs *FS) create(path string, ftype FileType, symTarget string) (int64, erro
 			return nil
 		})
 	}
-	err := fs.traced("create", func() error { return fs.retrying(do) })
+	err := fs.traced("create", fs.retrying(do))
 	return newInum, err
 }
 
@@ -655,11 +658,12 @@ func (fs *FS) Readlink(path string) (string, error) {
 		return "", err
 	}
 	fs.chargeOp(0)
-	inum, err := fs.namei(path, false)
+	sp := fs.rootSpan("")
+	inum, err := fs.namei(sp, path, false)
 	if err != nil {
 		return "", err
 	}
-	return fs.readlinkInum(inum)
+	return fs.readlinkInum(sp, inum)
 }
 
 // Remove unlinks a file or symlink; Rmdir removes an empty
@@ -674,12 +678,12 @@ func (fs *FS) remove(path string, wantDir bool) error {
 		return err
 	}
 	fs.chargeOp(0)
-	do := func() error {
-		dir, name, err := fs.nameiParent(path)
+	do := func(sp *obs.Span) error {
+		dir, name, err := fs.nameiParent(sp, path)
 		if err != nil {
 			return err
 		}
-		ent, err := fs.lookupOnce(dir, name)
+		ent, err := fs.lookupOnce(sp, dir, name)
 		if err != nil {
 			return err
 		}
@@ -687,8 +691,8 @@ func (fs *FS) remove(path string, wantDir bool) error {
 			{InodeLock(dir), lockservice.Exclusive},
 			{InodeLock(ent.Inum), lockservice.Exclusive},
 		}
-		return fs.withLocks(locks, true, func(t *txn) error {
-			dirE, din, err := fs.loadInode(dir)
+		return fs.withLocks(sp, locks, true, func(t *txn) error {
+			dirE, din, err := fs.loadInode(sp, dir)
 			if err != nil {
 				return err
 			}
@@ -698,7 +702,7 @@ func (fs *FS) remove(path string, wantDir bool) error {
 			if din.Type != TypeDir {
 				return ErrNotDir
 			}
-			cur, _, _, err := fs.dirFind(dir, din, name)
+			cur, _, _, err := fs.dirFind(sp, dir, din, name)
 			if err != nil {
 				if errors.Is(err, ErrNotExist) {
 					return ErrRetry // changed since phase one
@@ -708,7 +712,7 @@ func (fs *FS) remove(path string, wantDir bool) error {
 			if cur.Inum != ent.Inum {
 				return ErrRetry
 			}
-			tgtE, tin, err := fs.loadInode(ent.Inum)
+			tgtE, tin, err := fs.loadInode(sp, ent.Inum)
 			if err != nil {
 				return err
 			}
@@ -716,7 +720,7 @@ func (fs *FS) remove(path string, wantDir bool) error {
 				if tin.Type != TypeDir {
 					return ErrNotDir
 				}
-				empty, err := fs.dirEmpty(ent.Inum, tin)
+				empty, err := fs.dirEmpty(sp, ent.Inum, tin)
 				if err != nil {
 					return err
 				}
@@ -746,7 +750,7 @@ func (fs *FS) remove(path string, wantDir bool) error {
 			return fs.destroyInode(t, ent.Inum, tgtE, tin)
 		})
 	}
-	return fs.traced("remove", func() error { return fs.retrying(do) })
+	return fs.traced("remove", fs.retrying(do))
 }
 
 // destroyInode frees an inode and all its blocks (lock held
@@ -776,7 +780,7 @@ func (fs *FS) destroyInode(t *txn, inum int64, e *cache.Entry, in Inode) error {
 	if largeIdx >= 0 {
 		// Release the physical space behind the large block (§3's
 		// decommit primitive).
-		_ = fs.pc.Decommit(fs.vd, fs.lay.LargeAddr(largeIdx), fs.lay.LargeBlockSize)
+		_ = fs.pc.Decommit(t.sp, fs.vd, fs.lay.LargeAddr(largeIdx), fs.lay.LargeBlockSize)
 	}
 	return nil
 }
@@ -792,20 +796,20 @@ func (fs *FS) Rename(src, dst string) error {
 	if strings.HasPrefix(strings.Trim(dst, "/")+"/", strings.Trim(src, "/")+"/") {
 		return ErrInval
 	}
-	do := func() error {
-		sdir, sname, err := fs.nameiParent(src)
+	do := func(sp *obs.Span) error {
+		sdir, sname, err := fs.nameiParent(sp, src)
 		if err != nil {
 			return err
 		}
-		sent, err := fs.lookupOnce(sdir, sname)
+		sent, err := fs.lookupOnce(sp, sdir, sname)
 		if err != nil {
 			return err
 		}
-		ddir, dname, err := fs.nameiParent(dst)
+		ddir, dname, err := fs.nameiParent(sp, dst)
 		if err != nil {
 			return err
 		}
-		dent, derr := fs.lookupOnce(ddir, dname)
+		dent, derr := fs.lookupOnce(sp, ddir, dname)
 		locks := []lockReq{
 			{InodeLock(sdir), lockservice.Exclusive},
 			{InodeLock(ddir), lockservice.Exclusive},
@@ -814,8 +818,8 @@ func (fs *FS) Rename(src, dst string) error {
 		if derr == nil {
 			locks = append(locks, lockReq{InodeLock(dent.Inum), lockservice.Exclusive})
 		}
-		return fs.withLocks(locks, true, func(t *txn) error {
-			sdE, sdin, err := fs.loadInode(sdir)
+		return fs.withLocks(sp, locks, true, func(t *txn) error {
+			sdE, sdin, err := fs.loadInode(sp, sdir)
 			if err != nil {
 				return err
 			}
@@ -825,7 +829,7 @@ func (fs *FS) Rename(src, dst string) error {
 			var ddinStore Inode
 			if sdir != ddir {
 				var e2 *cache.Entry
-				e2, ddinStore, err = fs.loadInode(ddir)
+				e2, ddinStore, err = fs.loadInode(sp, ddir)
 				if err != nil {
 					return err
 				}
@@ -837,25 +841,25 @@ func (fs *FS) Rename(src, dst string) error {
 			if sdin.Type != TypeDir || dd.Type != TypeDir {
 				return ErrNotDir
 			}
-			curS, _, _, err := fs.dirFind(sdir, sdin, sname)
+			curS, _, _, err := fs.dirFind(sp, sdir, sdin, sname)
 			if err != nil || curS.Inum != sent.Inum {
 				return ErrRetry
 			}
-			curD, _, _, derrNow := fs.dirFind(ddir, *dd, dname)
+			curD, _, _, derrNow := fs.dirFind(sp, ddir, *dd, dname)
 			if (derr == nil) != (derrNow == nil) {
 				return ErrRetry
 			}
 			if derrNow == nil && curD.Inum != dent.Inum {
 				return ErrRetry
 			}
-			_, sin, err := fs.loadInode(sent.Inum)
+			_, sin, err := fs.loadInode(sp, sent.Inum)
 			if err != nil {
 				return err
 			}
 			now := int64(fs.w.Clock.Now())
 			// Replace an existing destination.
 			if derrNow == nil {
-				dtE, dtin, err := fs.loadInode(dent.Inum)
+				dtE, dtin, err := fs.loadInode(sp, dent.Inum)
 				if err != nil {
 					return err
 				}
@@ -863,7 +867,7 @@ func (fs *FS) Rename(src, dst string) error {
 					if sin.Type != TypeDir {
 						return ErrIsDir
 					}
-					empty, err := fs.dirEmpty(dent.Inum, dtin)
+					empty, err := fs.dirEmpty(sp, dent.Inum, dtin)
 					if err != nil {
 						return err
 					}
@@ -902,7 +906,7 @@ func (fs *FS) Rename(src, dst string) error {
 			return nil
 		})
 	}
-	return fs.traced("rename", func() error { return fs.retrying(do) })
+	return fs.traced("rename", fs.retrying(do))
 }
 
 // Link creates a hard link to an existing file (not directories).
@@ -911,12 +915,12 @@ func (fs *FS) Link(existing, newpath string) error {
 		return err
 	}
 	fs.chargeOp(0)
-	do := func() error {
-		inum, err := fs.namei(existing, true)
+	do := func(sp *obs.Span) error {
+		inum, err := fs.namei(sp, existing, true)
 		if err != nil {
 			return err
 		}
-		dir, name, err := fs.nameiParent(newpath)
+		dir, name, err := fs.nameiParent(sp, newpath)
 		if err != nil {
 			return err
 		}
@@ -924,8 +928,8 @@ func (fs *FS) Link(existing, newpath string) error {
 			{InodeLock(dir), lockservice.Exclusive},
 			{InodeLock(inum), lockservice.Exclusive},
 		}
-		return fs.withLocks(locks, true, func(t *txn) error {
-			dirE, din, err := fs.loadInode(dir)
+		return fs.withLocks(sp, locks, true, func(t *txn) error {
+			dirE, din, err := fs.loadInode(sp, dir)
 			if err != nil {
 				return err
 			}
@@ -935,7 +939,7 @@ func (fs *FS) Link(existing, newpath string) error {
 			if din.Type != TypeDir {
 				return ErrNotDir
 			}
-			tE, tin, err := fs.loadInode(inum)
+			tE, tin, err := fs.loadInode(sp, inum)
 			if err != nil {
 				return err
 			}
@@ -945,7 +949,7 @@ func (fs *FS) Link(existing, newpath string) error {
 			if tin.Type == TypeFree {
 				return ErrRetry
 			}
-			if _, _, _, err := fs.dirFind(dir, din, name); err == nil {
+			if _, _, _, err := fs.dirFind(sp, dir, din, name); err == nil {
 				return ErrExist
 			} else if !errors.Is(err, ErrNotExist) {
 				return err
@@ -959,5 +963,5 @@ func (fs *FS) Link(existing, newpath string) error {
 			return nil
 		})
 	}
-	return fs.traced("link", func() error { return fs.retrying(do) })
+	return fs.traced("link", fs.retrying(do))
 }

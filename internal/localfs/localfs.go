@@ -179,8 +179,15 @@ func New(w *sim.World, machine string, cfg Config) *FS {
 	return f
 }
 
-// Close stops the sync demon.
-func (f *FS) Close() { f.cancel() }
+// Close stops the sync demon and the NVRAM destagers.
+func (f *FS) Close() {
+	f.cancel()
+	for _, d := range f.devs {
+		if n, ok := d.(*sim.NVRAM); ok {
+			n.Close()
+		}
+	}
+}
 
 // diskRegion adapts disk 0 (through its controller) for the WAL.
 type diskRegion struct {

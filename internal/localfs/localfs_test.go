@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
+	"time"
 
 	"frangipani/internal/sim"
 )
@@ -156,5 +158,41 @@ func TestManySmallFiles(t *testing.T) {
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseStopsGoroutines checks Close leaves no goroutine behind:
+// the sync demon and every NVRAM destager exit, so the goroutine
+// count returns to its level from before New.
+func TestCloseStopsGoroutines(t *testing.T) {
+	w := sim.NewWorld(1000, 3)
+	defer w.Stop()
+	cfg := DefaultConfig()
+	cfg.DiskParams = sim.DefaultDiskParams(64 << 20)
+	cfg.NVRAM = 1 << 20
+	base := runtime.NumGoroutine()
+	f := New(w, "adv", cfg)
+	h, err := f.OpenFile("/f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(make([]byte, 4*PageSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n < base+cfg.NumDisks {
+		t.Fatalf("%d goroutines while mounted, want at least %d (one destager per disk)", n, base+cfg.NumDisks)
+	}
+	f.Close()
+	// The sync ticker's goroutine exits asynchronously after its
+	// cancel; the destagers have already exited when Close returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, baseline %d", n, base)
 	}
 }

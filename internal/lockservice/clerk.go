@@ -77,6 +77,9 @@ type Clerk struct {
 	// Outbound op queue, drained by the sender demon.
 	outq     []sendOp
 	sendCond *sync.Cond
+	// sending is set while the sender transmits a drain with c.mu
+	// released; Close waits it out so no batch follows the CloseReq.
+	sending bool
 	// renewing guards against renewal-tick pileup: a slow shard server
 	// must not consume the whole renewal window by stacking ticks.
 	renewing bool
@@ -86,8 +89,9 @@ type Clerk struct {
 
 	// onRevoke runs before a lock is downgraded (to Shared) or
 	// released (to None): flush dirty data, then invalidate on full
-	// release. It must not call back into the clerk for this lock.
-	onRevoke func(lock uint64, to Mode)
+	// release. sp is the revoke's root span. It must not call back
+	// into the clerk for this lock.
+	onRevoke func(sp *obs.Span, lock uint64, to Mode)
 	// onRecover replays a dead server's log; see paper §4.
 	onRecover func(dead string, deadSlot int) error
 	// onLeaseLost poisons the file system (paper §6: "Frangipani
@@ -163,7 +167,7 @@ func NewClerkWithCarrier(w *sim.World, machine, table string, servers []string, 
 }
 
 // SetCallbacks installs the FS integration hooks.
-func (c *Clerk) SetCallbacks(onRevoke func(lock uint64, to Mode),
+func (c *Clerk) SetCallbacks(onRevoke func(sp *obs.Span, lock uint64, to Mode),
 	onRecover func(dead string, deadSlot int) error, onLeaseLost func()) {
 	c.mu.Lock()
 	c.onRevoke = onRevoke
@@ -182,7 +186,7 @@ func (c *Clerk) Open() error {
 	var resp OpenResp
 	ok := false
 	for _, s := range c.servers {
-		r, err := c.ep.Call(Addr(s), OpenReq{Clerk: c.machine, Table: c.table}, 180*time.Second)
+		r, err := c.ep.Call(nil, Addr(s), OpenReq{Clerk: c.machine, Table: c.table}, 180*time.Second)
 		if err != nil {
 			continue
 		}
@@ -274,6 +278,9 @@ func (c *Clerk) Close() {
 		return
 	}
 	c.closed = true
+	for c.sending {
+		c.sendCond.Wait()
+	}
 	c.mu.Unlock()
 	c.cond.Broadcast()
 	c.sendCond.Broadcast()
@@ -281,7 +288,7 @@ func (c *Clerk) Close() {
 		cancel()
 	}
 	for _, s := range c.servers {
-		_ = c.ep.Cast(Addr(s), CloseReq{Clerk: c.machine, Table: c.table})
+		_ = c.ep.Cast(nil, Addr(s), CloseReq{Clerk: c.machine, Table: c.table})
 	}
 	c.ep.Close()
 }
@@ -309,7 +316,7 @@ func (c *Clerk) Abandon() {
 // refreshState fetches the shard map.
 func (c *Clerk) refreshState() error {
 	for _, s := range c.servers {
-		r, err := c.ep.Call(Addr(s), StateReq{}, 60*time.Second)
+		r, err := c.ep.Call(nil, Addr(s), StateReq{}, 60*time.Second)
 		if err != nil {
 			continue
 		}
@@ -375,39 +382,37 @@ func (c *Clerk) shardOfLocked(lock uint64) int {
 	return ShardOf(lock, shards)
 }
 
-// Lock acquires the lock in the given mode, blocking until granted.
-// It returns ErrLeaseLost if the clerk's lease expires meanwhile.
-func (c *Clerk) Lock(lock uint64, mode Mode) error {
+// Lock is LockIn outside any operation.
+func (c *Clerk) Lock(lock uint64, mode Mode) error { return c.LockIn(nil, lock, mode) }
+
+// LockIn acquires the lock in the given mode on behalf of sp's
+// operation, blocking until granted. It returns ErrLeaseLost if the
+// clerk's lease expires meanwhile.
+func (c *Clerk) LockIn(sp *obs.Span, lock uint64, mode Mode) error {
 	if c.now == nil {
-		return c.lockWait(lock, mode)
+		return c.lockWait(sp, lock, mode)
 	}
 	start := c.now()
-	var err error
-	if sp := c.tr.Child("lockservice", "acquire"); sp != nil {
-		obs.With(sp, func() { err = c.lockWait(lock, mode) })
-		sp.Done()
-	} else {
-		err = c.lockWait(lock, mode)
-	}
+	asp := c.tr.Child(sp, "lockservice", "acquire")
+	err := c.lockWait(asp, lock, mode)
+	asp.Done()
 	// Per-lock contention: the whole acquire latency counts as wait
 	// (an uncontended sticky hit is ~0, so hot locks dominate).
 	wait := c.now() - start
 	c.resTab.Acquire(lock, wait)
 	c.acqLat.Record(wait)
-	// Lock blocks on the operation's own goroutine, so the caller's
-	// principal binding is in scope to charge the wait.
-	c.acct.LockWait(obs.CurrentPrincipal(), wait)
+	c.acct.LockWait(sp.Who(), wait)
 	// Journal only acquires that blocked or failed: uncontended sticky
 	// hits are the overwhelming common case and would churn the ring.
 	if err != nil {
-		c.jr.Record("lockservice", "acquire", "fail", lock, wait, err.Error())
+		c.jr.RecordIn(sp, "lockservice", "acquire", "fail", lock, wait, err.Error())
 	} else if wait > 0 {
-		c.jr.Record("lockservice", "acquire", "ok", lock, wait, "")
+		c.jr.RecordIn(sp, "lockservice", "acquire", "ok", lock, wait, "")
 	}
 	return err
 }
 
-func (c *Clerk) lockWait(lock uint64, mode Mode) error {
+func (c *Clerk) lockWait(sp *obs.Span, lock uint64, mode Mode) error {
 	c.mu.Lock()
 	for {
 		if c.closed {
@@ -432,7 +437,7 @@ func (c *Clerk) lockWait(lock uint64, mode Mode) error {
 		// sent: a request racing ahead of our release would make the
 		// server re-grant from stale holder state.
 		if !l.revokePending && !l.revoking {
-			c.requestLocked(lock, l)
+			c.requestLocked(sp, lock, l)
 		}
 		c.cond.Wait()
 	}
@@ -546,8 +551,9 @@ func (c *Clerk) enqueueLocked(op sendOp) {
 	c.sendCond.Signal()
 }
 
-// requestLocked enqueues a (re)send of the lock request, rate-limited.
-func (c *Clerk) requestLocked(lock uint64, l *clkLock) {
+// requestLocked enqueues a (re)send of the lock request, rate-limited;
+// sp is the waiting operation's span, or nil for a retransmission.
+func (c *Clerk) requestLocked(sp *obs.Span, lock uint64, l *clkLock) {
 	now := c.w.Clock.Now()
 	// Rate-limit retransmissions — but never suppress the FIRST
 	// request (lastReq == 0 means "never sent") or an UPGRADE (a
@@ -559,7 +565,7 @@ func (c *Clerk) requestLocked(lock uint64, l *clkLock) {
 	l.lastReq = now
 	l.lastReqMode = l.want
 	c.trace("request lock=%x mode=%v enqueued", lock, l.want)
-	c.jr.Record("lockservice", "acquire", "wait", lock, int64(l.want), "")
+	c.jr.RecordIn(sp, "lockservice", "acquire", "wait", lock, int64(l.want), "")
 	c.enqueueLocked(sendOp{lock: lock, mode: l.want, epoch: l.epoch})
 }
 
@@ -589,26 +595,43 @@ func (c *Clerk) sender() {
 				// re-enqueued by the retry ticker and lost releases are
 				// re-asked-for by the server's revoke retry.
 				c.outq = nil
-				continue
 			}
+			continue // re-check closed: Close may have run meanwhile
 		}
 		ops := c.outq
 		c.outq = nil
-		c.flushLocked(ops)
+		out := c.batchLocked(ops)
+		// Transmit with c.mu released: Send sleeps through the link's
+		// transmission time, and grant and revoke handlers must not
+		// wait behind it. The sender is the only goroutine that sends
+		// batches, and it sends each drain in full before taking the
+		// next, so batches still reach the wire in queue order.
+		c.sending = true
+		c.mu.Unlock()
+		for _, b := range out {
+			_ = c.ep.Cast(nil, Addr(b.srv), b.msg)
+		}
+		c.mu.Lock()
+		c.sending = false
+		c.sendCond.Broadcast()
 	}
 }
 
-// flushLocked groups a drain of the op queue into per-server batches
-// and transmits them with c.mu held: the network assigns its FIFO
-// sequence synchronously inside Send, so holding the lock guarantees
-// batches reach the wire in state-machine order.
+// outBatch is one batch message built under c.mu, to be cast to srv
+// after it is released.
+type outBatch struct {
+	srv string
+	msg any
+}
+
+// batchLocked groups a drain of the op queue into per-server batches.
 //
 // Releases are sent before acquires. Within one drain that inversion
 // is safe: a queued acquire older than a queued release of the same
 // lock carries a pre-release tenancy epoch and is discarded by the
 // revalidation below, so the only surviving same-lock order is
 // release-then-reacquire — exactly the order the batches transmit.
-func (c *Clerk) flushLocked(ops []sendOp) {
+func (c *Clerk) batchLocked(ops []sendOp) []outBatch {
 	mapEpoch := c.state.Epoch
 	relBySrv := make(map[string][]BatchRel)
 	acqBySrv := make(map[string][]BatchReq)
@@ -633,6 +656,7 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 		acqBySrv[srv] = append(acqBySrv[srv], BatchReq{Lock: op.lock, Mode: l.want, Epoch: l.epoch})
 	}
 	now := c.w.Clock.Now()
+	var out []outBatch
 	for _, srv := range order {
 		// Piggyback a lease renewal on the first batch of this drain
 		// when one is due for srv: busy clerks renew as a side effect
@@ -648,7 +672,7 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 				c.noteRenewSentLocked(srv, now, true)
 				renew = false
 			}
-			_ = c.ep.Cast(Addr(srv), m)
+			out = append(out, outBatch{srv, m})
 		}
 		if reqs := acqBySrv[srv]; len(reqs) > 0 {
 			c.batchC.Inc()
@@ -658,9 +682,10 @@ func (c *Clerk) flushLocked(ops []sendOp) {
 				m.Renew, m.LeaseID = true, c.leaseID
 				c.noteRenewSentLocked(srv, now, true)
 			}
-			_ = c.ep.Cast(Addr(srv), m)
+			out = append(out, outBatch{srv, m})
 		}
 	}
+	return out
 }
 
 // renewDueLocked reports whether a renewal should ride on a batch to
@@ -706,7 +731,7 @@ func (c *Clerk) retryRequests() {
 	for id, l := range c.locks {
 		if l.want > l.mode && !l.revoking && !l.revokePending {
 			l.lastReq = 0 // force through the rate limit
-			c.requestLocked(id, l)
+			c.requestLocked(nil, id, l)
 		}
 	}
 	c.mu.Unlock()
@@ -733,16 +758,11 @@ func (c *Clerk) processRevoke(lock uint64) {
 	c.mu.Unlock()
 
 	if cb != nil {
-		// Revokes run on their own goroutine, so this roots a fresh
-		// trace: the flush it triggers (wal + petal spans) is
-		// followable like any foreground op.
-		sp := c.tr.Start("lockservice", "revoke")
-		if sp == nil {
-			cb(lock, target)
-		} else {
-			obs.With(sp, func() { cb(lock, target) })
+		// A revoke roots a fresh trace: the flush it triggers (wal +
+		// petal spans) is followable like any foreground op.
+		sp := c.tr.Start(nil, "lockservice", "revoke")
+		cb(sp, lock, target)
 			sp.Done()
-		}
 	}
 
 	c.mu.Lock()
@@ -768,7 +788,7 @@ func (c *Clerk) processRevoke(lock uint64) {
 }
 
 // handle serves server-to-clerk messages.
-func (c *Clerk) handle(from string, body any) any {
+func (c *Clerk) handle(_ *obs.Span, from string, body any) any {
 	switch m := body.(type) {
 	case GrantMsg:
 		c.onGrant(m)
@@ -907,7 +927,7 @@ func (c *Clerk) onWrongShard(m WrongShard) {
 			}
 			if l.want > l.mode && !l.revokePending && !l.revoking {
 				l.lastReq = 0 // force the retry past the rate limit
-				c.requestLocked(lk, l)
+				c.requestLocked(nil, lk, l)
 			} else if l.want <= l.mode && !l.revokePending && !l.revoking {
 				// The nacked message was (or might have been) a release;
 				// refresh the new owner's view of our hold. Guarded by
@@ -946,7 +966,7 @@ func (c *Clerk) onSync(m SyncReq) any {
 	}
 	c.mu.Unlock()
 	go func() { _ = c.refreshState() }() // assignment changed; relearn routing
-	_ = c.ep.Cast(Addr(m.Server), SyncResp{Clerk: c.machine, Seq: m.Seq, Locks: held})
+	_ = c.ep.Cast(nil, Addr(m.Server), SyncResp{Clerk: c.machine, Seq: m.Seq, Locks: held})
 	return nil
 }
 
@@ -966,7 +986,7 @@ func (c *Clerk) onRecoverReq(m RecoverReq) {
 			}
 		}
 		c.jr.Record("lockservice", "recovery", "done", 0, int64(m.DeadSlot), m.Dead)
-		_ = c.ep.Cast(Addr(m.Server), RecoveryDone{
+		_ = c.ep.Cast(nil, Addr(m.Server), RecoveryDone{
 			Clerk: c.machine, Table: c.table, Dead: m.Dead, Seq: m.Seq,
 		})
 	}()
@@ -1054,7 +1074,7 @@ func (c *Clerk) renew() {
 	results := make(chan result, len(stale))
 	for _, s := range stale {
 		go func(s string) {
-			r, err := c.ep.Call(Addr(s), RenewMsg{Clerk: c.machine, LeaseID: lease, MapEpoch: mapEpoch}, c.cfg.LeaseDuration/3)
+			r, err := c.ep.Call(nil, Addr(s), RenewMsg{Clerk: c.machine, LeaseID: lease, MapEpoch: mapEpoch}, c.cfg.LeaseDuration/3)
 			if err != nil {
 				results <- result{}
 				return

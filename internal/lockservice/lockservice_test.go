@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"frangipani/internal/obs"
+	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
 
@@ -40,7 +42,7 @@ func newTestLS(t *testing.T, nServers int) *testLS {
 func (ls *testLS) clerk(t *testing.T, machine string) *Clerk {
 	t.Helper()
 	c := NewClerk(ls.w, machine, "fs", ls.names, ls.cfg)
-	c.SetCallbacks(func(lock uint64, to Mode) {}, nil, nil)
+	c.SetCallbacks(func(_ *obs.Span, lock uint64, to Mode) {}, nil, nil)
 	if err := c.Open(); err != nil {
 		t.Fatalf("open clerk %s: %v", machine, err)
 	}
@@ -137,7 +139,7 @@ func TestRevokeDowngradesWriter(t *testing.T) {
 	var mu sync.Mutex
 	var revoked []Mode
 	c1 := NewClerk(ls.w, "ws1", "fs", ls.names, ls.cfg)
-	c1.SetCallbacks(func(lock uint64, to Mode) {
+	c1.SetCallbacks(func(_ *obs.Span, lock uint64, to Mode) {
 		mu.Lock()
 		revoked = append(revoked, to)
 		mu.Unlock()
@@ -245,14 +247,14 @@ func TestLeaseExpiryTriggersRecovery(t *testing.T) {
 
 	c1 := NewClerk(ls.w, "ws1", "fs", ls.names, ls.cfg)
 	lost := make(chan struct{})
-	c1.SetCallbacks(func(lock uint64, to Mode) {}, nil, func() { close(lost) })
+	c1.SetCallbacks(func(_ *obs.Span, lock uint64, to Mode) {}, nil, func() { close(lost) })
 	if err := c1.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
 
 	c2 := NewClerk(ls.w, "ws2", "fs", ls.names, ls.cfg)
-	c2.SetCallbacks(func(lock uint64, to Mode) {}, func(dead string, slot int) error {
+	c2.SetCallbacks(func(_ *obs.Span, lock uint64, to Mode) {}, func(dead string, slot int) error {
 		deadMu.Lock()
 		recoveredDead, recoveredSlot = dead, slot
 		deadMu.Unlock()
@@ -530,7 +532,7 @@ func TestClerkEpochFencing(t *testing.T) {
 	c.Unlock(5)
 	// Simulate a stale re-grant from a confused server: epoch far in
 	// the past.
-	c.handle("ls0", GrantMsg{Table: "fs", Lock: 123, Mode: Exclusive, Ver: 1, Epoch: -99})
+	c.handle(nil, "ls0", GrantMsg{Table: "fs", Lock: 123, Mode: Exclusive, Ver: 1, Epoch: -99})
 	if got := c.Held(123); got != None {
 		t.Fatalf("stale-epoch grant accepted: held=%v", got)
 	}
@@ -546,7 +548,7 @@ func TestIdleLocksDiscarded(t *testing.T) {
 	}
 	flushed := make(chan uint64, 16)
 	lost := false
-	c.SetCallbacks(func(lock uint64, to Mode) { flushed <- lock }, nil, func() { lost = true; t.Log("LEASE LOST") })
+	c.SetCallbacks(func(_ *obs.Span, lock uint64, to Mode) { flushed <- lock }, nil, func() { lost = true; t.Log("LEASE LOST") })
 	_ = lost
 	if err := c.Open(); err != nil {
 		t.Fatal(err)
@@ -574,4 +576,36 @@ func TestIdleLocksDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Unlock(1)
+}
+
+// TestSlowBatchDoesNotBlockHandlers checks the sender transmits
+// batches with c.mu released: while an acquire batch crawls over a
+// slow link, a handler that takes c.mu finishes at once instead of
+// waiting out the batch's transmission time.
+func TestSlowBatchDoesNotBlockHandlers(t *testing.T) {
+	ls := newTestLS(t, 1)
+	c := ls.clerk(t, "ws0")
+	// ~10 B/s: a batch message of a couple hundred bytes takes tens
+	// of simulated seconds to leave the clerk.
+	const bw = 10
+	ls.w.Net.AddHost(ClerkAddr("ws0"), sim.LinkParams{Latency: sim.DefaultLinkParams().Latency, Bandwidth: bw})
+	txTime := sim.Duration(float64(sizeOfBatch())/bw) * time.Second
+	go func() { _ = c.Lock(1, Exclusive) }()
+	// Let the sender take the batch onto the wire.
+	time.Sleep(20 * time.Millisecond)
+	start := ls.w.Clock.Now()
+	c.handle(nil, "ls0", RenewAck{Server: "ls0", LeaseID: c.LeaseID()})
+	took := sim.Duration(ls.w.Clock.Now() - start)
+	if c.Held(1) != None {
+		t.Fatal("lock granted before the batch could have been transmitted")
+	}
+	if took >= txTime/4 {
+		t.Fatalf("handler took %v with a %v batch on the wire: it waited on c.mu behind the transmission", took, txTime)
+	}
+}
+
+// sizeOfBatch is the modelled wire size of a one-lock acquire batch.
+func sizeOfBatch() int {
+	m := AcquireBatch{Clerk: "ws0", Table: "fs", Reqs: []BatchReq{{Lock: 1, Mode: Exclusive}}}
+	return m.WireSize() + rpc.DefaultMsgSize
 }

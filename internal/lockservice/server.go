@@ -405,7 +405,7 @@ type outMsg struct {
 
 func (s *Server) send(outs []outMsg) {
 	for _, o := range outs {
-		_ = s.ep.Cast(o.to, o.body)
+		_ = s.ep.Cast(nil, o.to, o.body)
 	}
 }
 
@@ -434,16 +434,16 @@ func (s *Server) cpuCost(body any) sim.Duration {
 	return perMsg + sim.Duration(ops)*perOp
 }
 
-// handle serves the lock protocol.
-func (s *Server) handle(from string, body any) any {
+// handle serves the lock protocol. sp carries the sender's trace
+// context and principal.
+func (s *Server) handle(sp *obs.Span, from string, body any) any {
 	if s.isDown() {
 		return nil
 	}
 	s.cpu.Use(s.cpuCost(body))
 	s.reqC.Inc()
-	// The rpc layer rebinds the sender's principal around handlers, so
-	// server-side work is charged to the originating client.
-	s.acct.ServerOp(obs.CurrentPrincipal())
+	// Server-side work is charged to the originating client.
+	s.acct.ServerOp(sp.Who())
 	switch m := body.(type) {
 	case ReqMsg:
 		s.onAcquireBatch(m.Clerk, m.Table, 0, []BatchReq{{Lock: m.Lock, Mode: m.Mode, Epoch: m.Epoch}})
@@ -537,7 +537,7 @@ func (s *Server) piggyRenew(clerk string, leaseID uint64) {
 	s.mu.Unlock()
 	s.renewPigC.Inc()
 	if ack {
-		_ = s.ep.Cast(ClerkAddr(clerk), RenewAck{Server: s.name, LeaseID: leaseID, Valid: valid, MapEpoch: epoch})
+		_ = s.ep.Cast(nil, ClerkAddr(clerk), RenewAck{Server: s.name, LeaseID: leaseID, Valid: valid, MapEpoch: epoch})
 	}
 }
 
@@ -644,7 +644,7 @@ func (s *Server) nackWrongShard(clerk, table string, epoch, clerkEpoch int64, lo
 			fmt.Sprintf("%s routed with epoch %d", clerk, clerkEpoch))
 	}
 	s.trace("wrong-shard nack to %s: %d locks (epoch %d, clerk had %d)", clerk, len(locks), epoch, clerkEpoch)
-	_ = s.ep.Cast(ClerkAddr(clerk), WrongShard{Server: s.name, Table: table, Epoch: epoch, Locks: locks})
+	_ = s.ep.Cast(nil, ClerkAddr(clerk), WrongShard{Server: s.name, Table: table, Epoch: epoch, Locks: locks})
 }
 
 // tryGrantLocked grants as many head waiters as compatibility allows
@@ -772,7 +772,7 @@ func (s *Server) majorityRenewals() map[string]sim.Time {
 		if p == s.name || !s.det.Alive(p) {
 			continue
 		}
-		resp, err := s.ep.Call(Addr(p), RenewalsReq{}, 5*time.Second)
+		resp, err := s.ep.Call(nil, Addr(p), RenewalsReq{}, 5*time.Second)
 		if err != nil {
 			continue
 		}
@@ -874,7 +874,7 @@ func (s *Server) sweep() {
 	for _, j := range jobs {
 		s.trace("RECOVER %s by %s", j.dead, j.recoverer)
 		s.jr.Record("lockservice", "recovery", "assign", 0, int64(j.slot), j.dead+" by "+j.recoverer)
-		_ = s.ep.Cast(ClerkAddr(j.recoverer), RecoverReq{
+		_ = s.ep.Cast(nil, ClerkAddr(j.recoverer), RecoverReq{
 			Server: s.name, Table: j.table, Dead: j.dead, DeadSlot: j.slot, Seq: j.seq,
 		})
 	}
@@ -947,7 +947,7 @@ func (s *Server) syncShards(shards []int) {
 
 	for _, clerk := range clerks {
 		for table := range tables {
-			_ = s.ep.Cast(ClerkAddr(clerk), SyncReq{Server: s.name, Table: table, Shards: shards, NumShards: nshards, Seq: seq, Ver: ver})
+			_ = s.ep.Cast(nil, ClerkAddr(clerk), SyncReq{Server: s.name, Table: table, Shards: shards, NumShards: nshards, Seq: seq, Ver: ver})
 		}
 	}
 	if len(clerks) == 0 {
@@ -1003,7 +1003,7 @@ func (s *Server) syncRetry() {
 	}
 	s.mu.Unlock()
 	for _, a := range asks {
-		_ = s.ep.Cast(ClerkAddr(a.clerk), SyncReq{Server: s.name, Table: a.table, Shards: a.shards, NumShards: nshards, Seq: a.seq, Ver: a.ver})
+		_ = s.ep.Cast(nil, ClerkAddr(a.clerk), SyncReq{Server: s.name, Table: a.table, Shards: a.shards, NumShards: nshards, Seq: a.seq, Ver: a.ver})
 	}
 	for _, seq := range finished {
 		s.finishSync(seq)

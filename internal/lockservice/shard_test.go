@@ -176,7 +176,7 @@ func TestBatchingCoalescesRequests(t *testing.T) {
 	for id := uint64(0); id < n; id++ {
 		l := c.lockLocked(id)
 		l.want = Exclusive
-		c.requestLocked(id, l)
+		c.requestLocked(nil, id, l)
 	}
 	c.mu.Unlock()
 	waitUntil(t, func() bool {

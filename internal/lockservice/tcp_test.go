@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -42,7 +43,7 @@ func TestLockServiceOverTCP(t *testing.T) {
 
 	mk := func(machine string) *Clerk {
 		c := NewClerkWithCarrier(w, machine, "tcpfs", names, cfg, carrier)
-		c.SetCallbacks(func(lock uint64, to Mode) {}, nil, nil)
+		c.SetCallbacks(func(_ *obs.Span, lock uint64, to Mode) {}, nil, nil)
 		if err := c.Open(); err != nil {
 			t.Fatalf("open %s: %v", machine, err)
 		}

@@ -101,11 +101,8 @@ func TestCritPathFromTracer(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	for i := 0; i < 3; i++ {
-		root := tr.Start("fs", "sync")
-		With(root, func() {
-			child := tr.Start("wal", "flush")
-			child.Done()
-		})
+		root := tr.Start(nil, "fs", "sync")
+		tr.Start(root, "wal", "flush").Done()
 		root.Done()
 	}
 	cp := NewCritPath()

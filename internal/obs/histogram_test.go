@@ -141,5 +141,5 @@ func TestNilCollectors(t *testing.T) {
 	if !r.Snapshot().Empty() {
 		t.Fatal("nil registry snapshot must be empty")
 	}
-	r.Tracer().Start("a", "b").Done() // must not panic
+	r.Tracer().Start(nil, "a", "b").Done() // must not panic
 }

@@ -72,16 +72,21 @@ func (j *Journal) Server() string {
 	return j.server
 }
 
-// Record appends one event, stamping the clock and — when called
-// inside an obs.With span — the current trace ID, so timelines can be
+// Record appends one event recorded outside any operation.
+func (j *Journal) Record(layer, op, kind string, key uint64, arg int64, detail string) {
+	j.RecordIn(nil, layer, op, kind, key, arg, detail)
+}
+
+// RecordIn appends one event, stamping the clock and the trace ID of
+// sp (the operation it was recorded in, or nil), so timelines can be
 // joined with traces. Copy-in to a preallocated slot: no allocation
 // beyond the strings the caller already holds.
-func (j *Journal) Record(layer, op, kind string, key uint64, arg int64, detail string) {
+func (j *Journal) RecordIn(sp *Span, layer, op, kind string, key uint64, arg int64, detail string) {
 	if j == nil {
 		return
 	}
 	var trace uint64
-	if sp := Current(); sp != nil {
+	if sp != nil {
 		trace = sp.TraceID
 	}
 	j.mu.Lock()

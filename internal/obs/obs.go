@@ -3,9 +3,9 @@
 //
 // It provides a Registry of race-safe named counters, gauges, and
 // log-bucketed latency histograms, plus a Tracer whose spans are
-// propagated through rpc message headers so a single file-system
-// operation can be followed fs -> wal -> lockservice -> petal across
-// machines. The registry is clock-agnostic: simulated runs plug in
+// passed down the stack as an explicit argument and through rpc
+// message headers, so a single file-system operation can be followed
+// fs -> wal -> lockservice -> petal across machines. The registry is clock-agnostic: simulated runs plug in
 // sim.Clock time, TCP deployments use wall time.
 //
 // Metric names follow the convention "layer.op.metric", with a

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -10,19 +11,22 @@ import (
 
 // Per-principal resource accounting: every byte moved, RPC issued,
 // lock-wait nanosecond, and cache miss is attributed to the client or
-// tenant ("principal") on whose behalf the work ran. The principal tag
-// follows the goroutine exactly like span bindings (trace.go) and
-// rides the rpc envelope across machines, so server-side work done for
-// a remote client is charged to that client, not to the server.
+// tenant ("principal") on whose behalf the work ran. Callers tag work
+// with WithPrincipal; each public fs operation reads the tag once, into
+// its root span's Principal field. From there the span carries it as
+// an explicit argument through every layer and across machines in the
+// rpc envelope, so server-side work done for a remote client is charged
+// to that client, not to the server.
 //
-// Work that runs outside any binding — background flushers, lease
-// renewals, recovery — lands in the reserved UnknownPrincipal account
+// Work that runs outside any tagged operation — background flushers,
+// lease renewals, recovery — lands in the reserved UnknownPrincipal account
 // rather than being dropped: unattributed load stays visible, and the
 // attribution-coverage gate in the noisy-neighbor experiment measures
 // exactly how much of the cluster's work the tags explain.
 
 const (
-	// UnknownPrincipal absorbs work recorded outside any binding.
+	// UnknownPrincipal absorbs work recorded outside any tagged
+	// operation.
 	UnknownPrincipal = "unknown"
 	// OtherPrincipal absorbs accounts folded out of a full table, so
 	// totals are never lost to eviction.
@@ -31,16 +35,18 @@ const (
 
 // ---- goroutine-local principal binding --------------------------
 
-// The binding table mirrors the span table in trace.go: sharded by
-// goroutine ID, with a global bound-count so CurrentPrincipal bails
-// with one atomic load when nothing is bound anywhere.
+// The binding table is sharded by goroutine ID, with a global
+// bound-count so CurrentPrincipal bails with one atomic load when
+// nothing is bound anywhere.
 type plShard struct {
 	mu sync.Mutex
 	m  map[uint64]string
 }
 
+const plShards = 64
+
 var (
-	plTab   [glShards]plShard
+	plTab   [plShards]plShard
 	plBound atomic.Int64
 )
 
@@ -50,6 +56,25 @@ func init() {
 	}
 }
 
+// goid parses the current goroutine's ID from its stack header
+// ("goroutine N [...]"). Go offers no public accessor; this is the
+// standard portable fallback. It formats the whole traceback, so it
+// costs microseconds on deep stacks: it runs only while some principal
+// is bound, at most once per tagged fs operation.
+func goid() uint64 {
+	var buf [32]byte
+	n := runtime.Stack(buf[:], false)
+	// skip "goroutine "
+	var id uint64
+	for _, c := range buf[10:n] {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
+}
+
 // CurrentPrincipal returns the principal bound to this goroutine, or
 // "" when none is bound.
 func CurrentPrincipal() string {
@@ -57,7 +82,7 @@ func CurrentPrincipal() string {
 		return ""
 	}
 	g := goid()
-	s := &plTab[g%glShards]
+	s := &plTab[g%plShards]
 	s.mu.Lock()
 	p := s.m[g]
 	s.mu.Unlock()
@@ -65,9 +90,8 @@ func CurrentPrincipal() string {
 }
 
 // BoundPrincipals returns the number of live goroutine->principal
-// bindings across all shards — the leak-audit counterpart of
-// BoundSpans, expected to drain to zero once every bound operation
-// has returned.
+// bindings across all shards, expected to drain to zero once every
+// bound operation has returned.
 func BoundPrincipals() int {
 	n := 0
 	for i := range plTab {
@@ -80,16 +104,16 @@ func BoundPrincipals() int {
 }
 
 // WithPrincipal binds principal p to the calling goroutine while fn
-// runs, restoring any previous binding afterwards (same defer-restore
-// discipline as With, so panics and early returns unwind the table).
-// An empty p just runs fn.
+// runs, restoring any previous binding afterwards; the restore is
+// deferred, so panics and early returns unwind the table. An empty p
+// just runs fn.
 func WithPrincipal(p string, fn func()) {
 	if p == "" {
 		fn()
 		return
 	}
 	g := goid()
-	s := &plTab[g%glShards]
+	s := &plTab[g%plShards]
 	s.mu.Lock()
 	prev, had := s.m[g]
 	s.m[g] = p

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -10,8 +9,9 @@ import (
 	"time"
 )
 
-// Span is one timed region of a trace. A root span has ID ==
-// TraceID; children share the root's TraceID and point at their
+// Span is one timed region of a trace, and the context an operation
+// passes down the stack as an explicit argument. A root span has
+// ID == TraceID; children share the root's TraceID and point at their
 // parent's ID. Spans created by Remote carry context received over
 // the wire and are never recorded themselves — they only parent the
 // receiver's own spans.
@@ -21,10 +21,23 @@ type Span struct {
 	Parent  uint64
 	Layer   string
 	Op      string
-	Start   int64 // ns on the tracer's clock
-	End     int64 // ns; 0 until Done
+	// Principal is the client or tenant the operation runs for. Child
+	// spans and Remote stubs copy it, so every layer charges its work
+	// to the principal of the span it was handed.
+	Principal string
+	Start     int64 // ns on the tracer's clock
+	End       int64 // ns; 0 until Done
 
 	tr *Tracer
+}
+
+// Who returns the span's principal; "" (charged as unknown) for a nil
+// span.
+func (sp *Span) Who() string {
+	if sp == nil {
+		return ""
+	}
+	return sp.Principal
 }
 
 // Duration is End-Start; valid after Done.
@@ -102,44 +115,48 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) {
 	}
 }
 
-// Start begins a new span. If the calling goroutine has a bound span
-// (see With), the new span joins that trace as a child; otherwise it
-// roots a fresh trace.
-func (t *Tracer) Start(layer, op string) *Span {
+// Start begins a span under parent, inheriting its principal. A nil
+// parent, or one that carries no trace, roots a fresh trace.
+func (t *Tracer) Start(parent *Span, layer, op string) *Span {
 	if t == nil {
 		return nil
 	}
 	id := t.ids.Add(1)
-	sp := &Span{ID: id, Layer: layer, Op: op, Start: t.now(), tr: t}
-	if p := Current(); p != nil {
-		sp.TraceID = p.TraceID
-		sp.Parent = p.ID
-	} else {
-		sp.TraceID = id
+	sp := &Span{TraceID: id, ID: id, Layer: layer, Op: op, Start: t.now(), tr: t}
+	if parent != nil {
+		sp.Principal = parent.Principal
+		if parent.TraceID != 0 {
+			sp.TraceID, sp.Parent = parent.TraceID, parent.ID
+		}
 	}
 	return sp
 }
 
-// Child is like Start but returns nil when the calling goroutine has
-// no bound span: sub-layer operations (wal flushes, petal RPCs,
-// lease checks) only produce spans inside a traced operation, so
-// background write-behind traffic does not flood the ring with
-// single-span root traces.
-func (t *Tracer) Child(layer, op string) *Span {
-	if t == nil || Current() == nil {
+// Child is like Start but records nothing outside a trace: sub-layer
+// operations (wal flushes, petal RPCs, lease checks) only produce
+// spans inside a traced operation, so background write-behind traffic
+// does not flood the ring with single-span root traces. A nil parent
+// gives nil; an untraced parent (a principal-only stub) is returned
+// as is, so its principal still reaches the layers below.
+func (t *Tracer) Child(parent *Span, layer, op string) *Span {
+	if t == nil {
 		return nil
 	}
-	return t.Start(layer, op)
+	if parent == nil || parent.TraceID == 0 {
+		return parent
+	}
+	return t.Start(parent, layer, op)
 }
 
-// Remote reconstructs a parent span stub from trace context received
-// over the wire. The stub is never recorded; bind it with With so
-// spans started on the receiving side join the sender's trace.
-func Remote(traceID, spanID uint64) *Span {
-	if traceID == 0 {
+// Remote reconstructs a parent span stub from the context received
+// over the wire. The stub is never recorded; it parents the spans the
+// receiver starts and carries the sender's principal. It is nil when
+// the sender had neither a trace nor a principal.
+func Remote(traceID, spanID uint64, principal string) *Span {
+	if traceID == 0 && principal == "" {
 		return nil
 	}
-	return &Span{TraceID: traceID, ID: spanID}
+	return &Span{TraceID: traceID, ID: spanID, Principal: principal}
 }
 
 // LastRoot returns the trace ID of the most recently completed root
@@ -271,112 +288,4 @@ func (t *Tracer) renderLocked(traceID uint64) string {
 		walk(r, 0)
 	}
 	return b.String()
-}
-
-// ---- goroutine-local span binding -------------------------------
-
-// Span context follows the goroutine: With binds a span for the
-// duration of fn, Current reads the binding. The map is sharded by
-// goroutine ID, and a global bound-count lets Current bail with a
-// single atomic load when no spans are bound anywhere — so constant
-// background traffic (heartbeats, lease renewals) pays nearly
-// nothing when nothing is being traced.
-type glShard struct {
-	mu sync.Mutex
-	m  map[uint64]*Span
-}
-
-const glShards = 64
-
-var (
-	glTab   [glShards]glShard
-	glBound atomic.Int64
-)
-
-func init() {
-	for i := range glTab {
-		glTab[i].m = make(map[uint64]*Span)
-	}
-}
-
-// goid parses the current goroutine's ID from its stack header
-// ("goroutine N [...]"). Go offers no public accessor; this is the
-// standard portable fallback and costs ~1µs.
-func goid() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// skip "goroutine "
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// Current returns the span bound to this goroutine, or nil.
-func Current() *Span {
-	if glBound.Load() == 0 {
-		return nil
-	}
-	g := goid()
-	s := &glTab[g%glShards]
-	s.mu.Lock()
-	sp := s.m[g]
-	s.mu.Unlock()
-	return sp
-}
-
-// BoundSpans returns the number of live goroutine->span bindings
-// across all shards. After every traced operation has returned, the
-// table must drain to zero — each With removes (or restores) exactly
-// the entry it installed via defer, which runs on normal return,
-// early return, and panic alike. Used by the leak regression test
-// and safe to call anytime.
-func BoundSpans() int {
-	n := 0
-	for i := range glTab {
-		s := &glTab[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// With binds sp to the calling goroutine while fn runs, restoring
-// any previous binding afterwards. A nil sp just runs fn.
-//
-// Leak audit: the binding is removed in a defer registered before fn
-// runs, so a panic inside fn (or any early return) still unwinds the
-// table; nothing between installing the binding and registering the
-// defer can fail. Goroutine IDs are never reused by the runtime, so
-// an exited goroutine cannot alias a stale entry even if one leaked.
-// The glBound counter pairs the same Add(1)/Add(-1) in the same
-// scopes, keeping the Current fast path consistent.
-func With(sp *Span, fn func()) {
-	if sp == nil {
-		fn()
-		return
-	}
-	g := goid()
-	s := &glTab[g%glShards]
-	s.mu.Lock()
-	prev, had := s.m[g]
-	s.m[g] = sp
-	s.mu.Unlock()
-	glBound.Add(1)
-	defer func() {
-		s.mu.Lock()
-		if had {
-			s.m[g] = prev
-		} else {
-			delete(s.m, g)
-		}
-		s.mu.Unlock()
-		glBound.Add(-1)
-	}()
-	fn()
 }

@@ -2,60 +2,9 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-// The goroutine-local binding table must drain to zero after every
-// traced operation returns — including operations that panic out of
-// With or return early from nested bindings. A leaked binding would
-// misparent every later span started on a recycled goroutine and
-// grow the table without bound.
-func TestBindingTableDrains(t *testing.T) {
-	r := NewRegistry((&fakeClock{}).now)
-	tr := r.Tracer()
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sp := tr.Start("fs", "op")
-			switch i % 3 {
-			case 0: // normal nested completion
-				With(sp, func() {
-					child := tr.Start("wal", "x")
-					With(child, func() {})
-					child.Done()
-				})
-			case 1: // panic from the innermost With
-				func() {
-					defer func() { _ = recover() }()
-					With(sp, func() {
-						With(tr.Start("wal", "x"), func() {
-							panic("boom")
-						})
-					})
-				}()
-			case 2: // early return out of With
-				With(sp, func() {
-					if i > 0 {
-						return
-					}
-					tr.Start("wal", "x").Done()
-				})
-			}
-			sp.Done()
-		}(i)
-	}
-	wg.Wait()
-	if n := BoundSpans(); n != 0 {
-		t.Fatalf("glTab leaked %d bindings after all operations returned", n)
-	}
-	if Current() != nil {
-		t.Fatal("main goroutine has a stale binding")
-	}
-}
 
 // Slow-op dumps are individually size-bounded so maxSlowDumps of them
 // cannot pin megabytes of rendered traces.
@@ -63,12 +12,10 @@ func TestSlowDumpTruncated(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	tr.SetSlowThreshold(time.Nanosecond)
-	root := tr.Start("fs", "sync")
-	With(root, func() {
-		for i := 0; i < 2000; i++ {
-			tr.Start("petal", "write-with-a-rather-long-operation-name").Done()
-		}
-	})
+	root := tr.Start(nil, "fs", "sync")
+	for i := 0; i < 2000; i++ {
+		tr.Start(root, "petal", "write-with-a-rather-long-operation-name").Done()
+	}
 	root.Done()
 	dumps := tr.SlowDumps()
 	if len(dumps) == 0 {

@@ -24,31 +24,24 @@ func TestSpanTreeStructure(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 
-	root := tr.Start("fs", "sync")
+	root := tr.Start(nil, "fs", "sync")
+	root.Principal = "alice"
 	if root.TraceID != root.ID || root.Parent != 0 {
 		t.Fatalf("root span malformed: %+v", root)
 	}
-	With(root, func() {
-		child := tr.Start("wal", "flush")
-		if child.TraceID != root.TraceID || child.Parent != root.ID {
-			t.Fatalf("child not parented: %+v", child)
-		}
-		With(child, func() {
-			g := tr.Start("petal", "write")
-			if g.Parent != child.ID {
-				t.Fatalf("grandchild not parented: %+v", g)
-			}
-			g.Done()
-		})
-		child.Done()
-		// After the inner With returns, the binding must be restored.
-		if Current() != root {
-			t.Fatal("binding not restored after nested With")
-		}
-	})
-	if Current() != nil {
-		t.Fatal("binding must be cleared after With")
+	child := tr.Start(root, "wal", "flush")
+	if child.TraceID != root.TraceID || child.Parent != root.ID {
+		t.Fatalf("child not parented: %+v", child)
 	}
+	g := tr.Child(child, "petal", "write")
+	if g.Parent != child.ID || g.TraceID != root.TraceID {
+		t.Fatalf("grandchild not parented: %+v", g)
+	}
+	if g.Who() != "alice" {
+		t.Fatalf("grandchild principal %q, want alice", g.Who())
+	}
+	g.Done()
+	child.Done()
 	root.Done()
 
 	spans := tr.SpansFor(root.TraceID)
@@ -70,35 +63,39 @@ func TestSpanTreeStructure(t *testing.T) {
 func TestChildRequiresBinding(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
-	if sp := tr.Child("wal", "flush"); sp != nil {
+	if sp := tr.Child(nil, "wal", "flush"); sp != nil {
 		t.Fatal("Child outside any trace must return nil")
 	}
-	root := tr.Start("fs", "write")
-	With(root, func() {
-		if sp := tr.Child("wal", "flush"); sp == nil {
-			t.Fatal("Child inside a trace must return a span")
-		} else {
-			sp.Done()
-		}
-	})
+	// A principal-only stub records nothing but still carries the
+	// principal to the layers below.
+	stub := Remote(0, 0, "bob")
+	if sp := tr.Child(stub, "wal", "flush"); sp != stub {
+		t.Fatalf("Child of an untraced stub = %+v, want the stub", sp)
+	}
+	root := tr.Start(nil, "fs", "write")
+	if sp := tr.Child(root, "wal", "flush"); sp == nil {
+		t.Fatal("Child inside a trace must return a span")
+	} else {
+		sp.Done()
+	}
 	root.Done()
+	if n := len(tr.SpansFor(root.TraceID)); n != 2 {
+		t.Fatalf("trace has %d spans, want 2", n)
+	}
 }
 
 func TestRemoteParenting(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	// Simulate the receive side of an rpc carrying trace context.
-	stub := Remote(42, 7)
-	var sp *Span
-	With(stub, func() {
-		sp = tr.Start("petal", "server.write")
-	})
+	stub := Remote(42, 7, "carol")
+	sp := tr.Start(stub, "petal", "server.write")
 	sp.Done()
-	if sp.TraceID != 42 || sp.Parent != 7 {
+	if sp.TraceID != 42 || sp.Parent != 7 || sp.Principal != "carol" {
 		t.Fatalf("remote-parented span: %+v", sp)
 	}
-	if Remote(0, 9) != nil {
-		t.Fatal("Remote with zero trace ID must be nil")
+	if Remote(0, 9, "") != nil {
+		t.Fatal("Remote with zero trace ID and no principal must be nil")
 	}
 }
 
@@ -106,7 +103,7 @@ func TestSlowDumps(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
 	tr.SetSlowThreshold(500 * time.Microsecond) // every op is "slow" on the fake clock
-	sp := tr.Start("fs", "create")
+	sp := tr.Start(nil, "fs", "create")
 	sp.Done()
 	dumps := tr.SlowDumps()
 	if len(dumps) != 1 || !strings.Contains(dumps[0], "fs.create") {
@@ -117,7 +114,7 @@ func TestSlowDumps(t *testing.T) {
 	}
 	// Dumps ring must stay bounded.
 	for i := 0; i < 3*maxSlowDumps; i++ {
-		s := tr.Start("fs", "create")
+		s := tr.Start(nil, "fs", "create")
 		s.Done()
 	}
 	if n := len(tr.SlowDumps()); n > maxSlowDumps {
@@ -134,31 +131,26 @@ func TestConcurrentTracing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				root := tr.Start("fs", "op")
-				With(root, func() {
-					c := tr.Child("wal", "append")
-					c.Done()
-					if Current() != root {
-						t.Error("cross-goroutine binding leak")
-					}
-				})
+				root := tr.Start(nil, "fs", "op")
+				c := tr.Child(root, "wal", "append")
+				if c.TraceID != root.TraceID || c.Parent != root.ID {
+					t.Error("child joined another goroutine's trace")
+				}
+				c.Done()
 				root.Done()
 			}
 		}()
 	}
 	wg.Wait()
-	if Current() != nil {
-		t.Fatal("stale binding after concurrent load")
-	}
 }
 
 func TestRingEviction(t *testing.T) {
 	r := NewRegistry((&fakeClock{}).now)
 	tr := r.Tracer()
-	first := tr.Start("fs", "op")
+	first := tr.Start(nil, "fs", "op")
 	first.Done()
 	for i := 0; i < ringSpans+10; i++ {
-		sp := tr.Start("fs", "op")
+		sp := tr.Start(nil, "fs", "op")
 		sp.Done()
 	}
 	if got := tr.SpansFor(first.TraceID); len(got) != 0 {

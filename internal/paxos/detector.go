@@ -3,6 +3,7 @@ package paxos
 import (
 	"sync"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -64,7 +65,7 @@ func NewDetector(id string, peers []string, carrier rpc.Carrier, clock *sim.Cloc
 	return d
 }
 
-func (d *Detector) handle(from string, body any) any {
+func (d *Detector) handle(_ *obs.Span, from string, body any) any {
 	b, ok := body.(beat)
 	if !ok {
 		return nil
@@ -113,7 +114,7 @@ func (d *Detector) tick() {
 	}
 	for _, p := range d.peers {
 		if p != d.id {
-			_ = d.ep.Cast(p+".hb", beat{From: d.id})
+			_ = d.ep.Cast(nil, p+".hb", beat{From: d.id})
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"frangipani/internal/obs"
 	"frangipani/internal/rpc"
 	"frangipani/internal/sim"
 )
@@ -214,7 +215,7 @@ func (n *Node) inst(seq int64) *instance {
 }
 
 // handle serves all incoming paxos messages.
-func (n *Node) handle(from string, body any) any {
+func (n *Node) handle(_ *obs.Span, from string, body any) any {
 	if n.down() {
 		return nil
 	}
@@ -323,7 +324,7 @@ func (n *Node) fillGap(seq int64) {
 		if p == n.id {
 			continue
 		}
-		resp, err := n.ep.Call(p+".px", LearnReq{Seq: seq}, callTimeout)
+		resp, err := n.ep.Call(nil, p+".px", LearnReq{Seq: seq}, callTimeout)
 		if err != nil {
 			continue
 		}
@@ -514,9 +515,9 @@ func (n *Node) bumpBallot(promised int64) {
 // network round trip to ourselves.
 func (n *Node) rpcTo(peer string, req any) any {
 	if peer == n.id {
-		return n.handle(n.id, req)
+		return n.handle(nil, n.id, req)
 	}
-	resp, err := n.ep.Call(peer+".px", req, callTimeout)
+	resp, err := n.ep.Call(nil, peer+".px", req, callTimeout)
 	if err != nil {
 		return nil
 	}
@@ -529,7 +530,7 @@ func (n *Node) broadcastDecide(seq int64, v entry) {
 		if p == n.id {
 			continue
 		}
-		_ = n.ep.Cast(p+".px", DecideMsg{Seq: seq, Value: v})
+		_ = n.ep.Cast(nil, p+".px", DecideMsg{Seq: seq, Value: v})
 	}
 }
 

@@ -201,21 +201,17 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 }
 
 // instr wraps one client operation in a latency histogram and — when
-// the caller is inside a traced operation — a child span, so the
-// operation appears in cross-layer trace trees and the rpc layer
-// propagates its context to the Petal servers.
-func (c *Client) instr(op string, fn func() error) error {
+// the caller is inside a traced operation — a child span, which fn
+// passes on so the operation appears in cross-layer trace trees and
+// the rpc layer propagates its context to the Petal servers.
+func (c *Client) instr(parent *obs.Span, op string, fn func(sp *obs.Span) error) error {
 	if c.now == nil {
-		return fn()
+		return fn(parent)
 	}
 	start := c.now()
-	var err error
-	if sp := c.tr.Child("petal", op); sp != nil {
-		obs.With(sp, func() { err = fn() })
+	sp := c.tr.Child(parent, "petal", op)
+	err := fn(sp)
 		sp.Done()
-	} else {
-		err = fn()
-	}
 	c.opLats[op].Record(c.now() - start)
 	return err
 }
@@ -302,7 +298,7 @@ func (c *Client) doRefresh(have int64) error {
 	}
 	probe := c.servers[int(c.refreshRR.Add(1)-1)%n]
 	c.refreshRPCs.Add(1)
-	resp, err := c.ep.Call(DataAddr(probe), StateReq{HaveVersion: have}, dataTimeout)
+	resp, err := c.ep.Call(nil, DataAddr(probe), StateReq{HaveVersion: have}, dataTimeout)
 	if err == nil {
 		if sr, ok := resp.(StateResp); ok && sr.OK {
 			if sr.Unchanged {
@@ -334,7 +330,7 @@ func (c *Client) doRefresh(have int64) error {
 	var best GlobalState
 	_ = boundedPar(4, rest, func(s string) error {
 		c.refreshRPCs.Add(1)
-		resp, err := c.ep.Call(DataAddr(s), StateReq{HaveVersion: have}, dataTimeout)
+		resp, err := c.ep.Call(nil, DataAddr(s), StateReq{HaveVersion: have}, dataTimeout)
 		if err != nil {
 			return nil
 		}
@@ -498,7 +494,7 @@ func backoffDelay(attempt int, randIntn func(int) int) sim.Duration {
 }
 
 // retryPause sleeps before retry number attempt, never past deadline.
-func (c *Client) retryPause(attempt int, deadline sim.Time) {
+func (c *Client) retryPause(sp *obs.Span, attempt int, deadline sim.Time) {
 	d := backoffDelay(attempt, c.randIntn)
 	left := sim.Duration(deadline - c.clock.Now())
 	if left <= 0 {
@@ -507,26 +503,26 @@ func (c *Client) retryPause(attempt int, deadline sim.Time) {
 	if d > left {
 		d = left
 	}
-	c.jr.Record("petal", "io", "backoff", uint64(attempt), int64(d), "")
+	c.jr.RecordIn(sp, "petal", "io", "backoff", uint64(attempt), int64(d), "")
 	c.clock.Sleep(d)
 }
 
-// call issues one data-path RPC, tracking the per-server outstanding
-// gauge that read routing balances on.
-func (c *Client) call(srv string, req any, timeout sim.Duration) (any, error) {
+// call issues one data-path RPC on behalf of sp's operation, tracking
+// the per-server outstanding gauge that read routing balances on.
+func (c *Client) call(sp *obs.Span, srv string, req any, timeout sim.Duration) (any, error) {
 	g := c.infl[srv]
 	g.Add(1)
 	// Every data-path RPC (including retries and failovers) is charged
 	// to the principal whose operation issued it.
-	c.acct.RPC(obs.CurrentPrincipal(), 1)
-	resp, err := c.ep.Call(DataAddr(srv), req, timeout)
+	c.acct.RPC(sp.Who(), 1)
+	resp, err := c.ep.Call(sp, DataAddr(srv), req, timeout)
 	g.Add(-1)
 	return resp, err
 }
 
 // readChunk performs one intra-chunk read with failover and state
 // refresh until the op deadline.
-func (c *Client) readChunk(v VDiskID, chunk int64, off, length int, dst []byte) error {
+func (c *Client) readChunk(sp *obs.Span, v VDiskID, chunk int64, off, length int, dst []byte) error {
 	deadline := c.clock.Now() + sim.Time(c.opDeadline)
 	var lastErr error
 	var tl targetList
@@ -538,10 +534,10 @@ func (c *Client) readChunk(v VDiskID, chunk int64, off, length int, dst []byte) 
 			c.readTargets(&st, v, chunk, &tl)
 			for _, srv := range tl.list() {
 				c.readRPCs.Add(1)
-				resp, err := c.call(srv, ReadReq{VDisk: v, Chunk: chunk, Off: off, Len: length}, dataTimeout)
+				resp, err := c.call(sp, srv, ReadReq{VDisk: v, Chunk: chunk, Off: off, Len: length}, dataTimeout)
 				if err != nil {
 					lastErr = err
-					c.jr.Record("petal", "read", "failover", uint64(chunk), 0, srv)
+					c.jr.RecordIn(sp, "petal", "read", "failover", uint64(chunk), 0, srv)
 					continue
 				}
 				rr, ok := resp.(ReadResp)
@@ -558,7 +554,7 @@ func (c *Client) readChunk(v VDiskID, chunk int64, off, length int, dst []byte) 
 					// over to the other replica, which "can ordinarily
 					// recover it" (§4).
 					lastErr = fmt.Errorf("petal read: %s", rr.Err)
-					c.jr.Record("petal", "read", "replica-fail", uint64(chunk), 0, srv)
+					c.jr.RecordIn(sp, "petal", "read", "replica-fail", uint64(chunk), 0, srv)
 					continue
 				}
 				// A short (or nil, for a hole) response must not leave
@@ -581,12 +577,12 @@ func (c *Client) readChunk(v VDiskID, chunk int64, off, length int, dst []byte) 
 		// view we routed with, the retry reuses it without touching
 		// the network (petal.refresh.skipped counts these).
 		_ = c.refreshSince(routedVer)
-		c.retryPause(attempt, deadline)
+		c.retryPause(sp, attempt, deadline)
 	}
 }
 
 // writeChunk performs one intra-chunk write with failover.
-func (c *Client) writeChunk(v VDiskID, chunk int64, off int, data []byte) error {
+func (c *Client) writeChunk(sp *obs.Span, v VDiskID, chunk int64, off int, data []byte) error {
 	// The in-memory transport passes payloads by reference and the
 	// caller may keep mutating its buffer (e.g. a cache page) after we
 	// return; snapshot the bytes here, where a real driver would DMA.
@@ -596,7 +592,7 @@ func (c *Client) writeChunk(v VDiskID, chunk int64, off int, data []byte) error 
 	snap := *bufp
 	copy(snap, data)
 	leaked := false
-	err := c.writeChunkSnap(v, chunk, off, snap, &leaked)
+	err := c.writeChunkSnap(sp, v, chunk, off, snap, &leaked)
 	if !leaked {
 		// No call attempt timed out, so no in-flight message can still
 		// reference the snapshot; safe to recycle.
@@ -605,7 +601,7 @@ func (c *Client) writeChunk(v VDiskID, chunk int64, off int, data []byte) error 
 	return err
 }
 
-func (c *Client) writeChunkSnap(v VDiskID, chunk int64, off int, snap []byte, leaked *bool) error {
+func (c *Client) writeChunkSnap(sp *obs.Span, v VDiskID, chunk int64, off int, snap []byte, leaked *bool) error {
 	c.mu.Lock()
 	li := c.leaseInfo
 	c.mu.Unlock()
@@ -631,12 +627,12 @@ func (c *Client) writeChunkSnap(v VDiskID, chunk int64, off int, snap []byte, le
 			c.targets(&st, v, chunk, &tl)
 			for _, srv := range tl.list() {
 				c.writeRPCs.Add(1)
-				resp, err := c.call(srv, req, dataTimeout)
+				resp, err := c.call(sp, srv, req, dataTimeout)
 				if err != nil {
 					// The message may still be queued at the carrier and
 					// delivered later; the snapshot cannot be recycled.
 					*leaked = true
-					c.jr.Record("petal", "write", "failover", uint64(chunk), 0, srv)
+					c.jr.RecordIn(sp, "petal", "write", "failover", uint64(chunk), 0, srv)
 					continue
 				}
 				wr, ok := resp.(WriteResp)
@@ -650,7 +646,7 @@ func (c *Client) writeChunkSnap(v VDiskID, chunk int64, off int, snap []byte, le
 				case ErrNoSuchVDisk.Error(), ErrStaleEpoch.Error():
 					// stale directory or epoch; refresh below
 				case ErrLeaseExpired.Error():
-					c.jr.Record("petal", "write", "lease-rejected", uint64(chunk), 0, srv)
+					c.jr.RecordIn(sp, "petal", "write", "lease-rejected", uint64(chunk), 0, srv)
 					return ErrLeaseExpired
 				default:
 					return fmt.Errorf("petal write: %s", wr.Err)
@@ -662,7 +658,7 @@ func (c *Client) writeChunkSnap(v VDiskID, chunk int64, off int, snap []byte, le
 			return ErrUnavailable
 		}
 		_ = c.refreshSince(routedVer)
-		c.retryPause(attempt, deadline)
+		c.retryPause(sp, attempt, deadline)
 	}
 }
 
@@ -703,20 +699,13 @@ func boundedPar[T any](limit int, items []T, f func(T) error) error {
 	}
 	sem := make(chan struct{}, limit)
 	errCh := make(chan error, len(items))
-	// Span and principal bindings are per-goroutine: carry the
-	// caller's trace context and principal into the workers so
-	// fanned-out RPCs stay in the tree and stay attributed.
-	cur := obs.Current()
-	who := obs.CurrentPrincipal()
 	var wg sync.WaitGroup
 	for _, it := range items {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(it T) {
 			defer wg.Done()
-			obs.With(cur, func() {
-				obs.WithPrincipal(who, func() { errCh <- f(it) })
-			})
+			errCh <- f(it)
 			<-sem
 		}(it)
 	}
@@ -732,31 +721,32 @@ func boundedPar[T any](limit int, items []T, f func(T) error) error {
 
 // forEachSpan runs f over the spans with bounded parallelism,
 // returning the first error.
-func (c *Client) forEachSpan(sp []span, f func(span) error) error {
-	return boundedPar(c.parallelism, sp, f)
+func (c *Client) forEachSpan(ss []span, f func(span) error) error {
+	return boundedPar(c.parallelism, ss, f)
 }
 
-// Read fills p from the virtual disk at byte offset off. Uncommitted
-// ranges read as zeros. Reads spanning several chunks go through the
-// scatter-gather engine, so chunk spans that route to the same server
-// collapse into one ReadVReq.
-func (c *Client) Read(v VDiskID, off int64, p []byte) error {
+// Read fills p from the virtual disk at byte offset off, on behalf of
+// sp's operation (nil for none). Uncommitted ranges read as zeros.
+// Reads spanning several chunks go through the scatter-gather engine,
+// so chunk spans that route to the same server collapse into one
+// ReadVReq.
+func (c *Client) Read(sp *obs.Span, v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
-	return c.instr("read", func() error {
-		sp := spans(off, len(p))
-		if len(sp) <= 1 {
-			if len(sp) == 0 {
+	return c.instr(sp, "read", func(sp *obs.Span) error {
+		ss := spans(off, len(p))
+		if len(ss) <= 1 {
+			if len(ss) == 0 {
 				return nil
 			}
-			return c.readChunk(v, sp[0].chunk, sp[0].off, sp[0].length, p[:sp[0].length])
+			return c.readChunk(sp, v, ss[0].chunk, ss[0].off, ss[0].length, p[:ss[0].length])
 		}
-		all := make([]rspan, len(sp))
-		for i, s := range sp {
+		all := make([]rspan, len(ss))
+		for i, s := range ss {
 			all[i] = rspan{chunk: s.chunk, off: s.off, dst: p[s.bufOff : s.bufOff+s.length]}
 		}
-		return c.readRspans(v, all)
+		return c.readRspans(sp, v, all)
 	})
 }
 
@@ -783,7 +773,10 @@ const (
 	readVTimeout    = 15 * time.Second
 )
 
-// ReadV fills every extent's Dst, batching the reads into as few
+// ReadV is ReadVIn outside any operation.
+func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error { return c.ReadVIn(nil, v, extents) }
+
+// ReadVIn fills every extent's Dst on behalf of sp's operation, batching the reads into as few
 // server round trips as possible: extents are split at chunk
 // boundaries, grouped by their balanced read target, and dispatched
 // with bounded parallelism. Extents a batch could not serve (replica
@@ -791,47 +784,47 @@ const (
 // per-chunk read path, so ReadV is exactly as robust as issuing the
 // extents through Read, and a failed extent never leaves stale bytes
 // in its destination.
-func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error {
+func (c *Client) ReadVIn(sp *obs.Span, v VDiskID, extents []ReadExtent) error {
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
 		}
 	}
-	return c.instr("readv", func() error {
+	return c.instr(sp, "readv", func(sp *obs.Span) error {
 		var all []rspan
 		for _, e := range extents {
 			for _, s := range spans(e.Off, len(e.Dst)) {
 				all = append(all, rspan{chunk: s.chunk, off: s.off, dst: e.Dst[s.bufOff : s.bufOff+s.length]})
 			}
 		}
-		return c.readRspans(v, all)
+		return c.readRspans(sp, v, all)
 	})
 }
 
 // readRspans is the scatter-gather read engine shared by Read and
 // ReadV.
-func (c *Client) readRspans(v VDiskID, all []rspan) error {
+func (c *Client) readRspans(sp *obs.Span, v VDiskID, all []rspan) error {
 	if len(all) == 0 {
 		return nil
 	}
 	if len(all) == 1 {
-		return c.readChunk(v, all[0].chunk, all[0].off, len(all[0].dst), all[0].dst)
+		return c.readChunk(sp, v, all[0].chunk, all[0].off, len(all[0].dst), all[0].dst)
 	}
 	st, err := c.getState()
 	if err != nil {
 		// No routing state: the per-chunk path refreshes and retries.
-		return c.readFallback(v, all)
+		return c.readFallback(sp, v, all)
 	}
 	// Group spans by their balanced read target, splitting oversized
 	// groups into size-capped batches.
 	groups := make(map[string][]rspan)
 	var tl targetList
-	for _, sp := range all {
-		c.readTargets(&st, v, sp.chunk, &tl)
+	for _, rs := range all {
+		c.readTargets(&st, v, rs.chunk, &tl)
 		if tl.n == 0 {
 			return ErrUnavailable
 		}
-		groups[tl.srv[0]] = append(groups[tl.srv[0]], sp)
+		groups[tl.srv[0]] = append(groups[tl.srv[0]], rs)
 	}
 	type batch struct {
 		srv string
@@ -841,25 +834,25 @@ func (c *Client) readRspans(v VDiskID, all []rspan) error {
 	for srv, sps := range groups {
 		cur := batch{srv: srv}
 		bytes := 0
-		for _, sp := range sps {
-			if len(cur.sps) > 0 && (bytes+len(sp.dst) > readVMaxBytes || len(cur.sps) >= readVMaxExtents) {
+		for _, rs := range sps {
+			if len(cur.sps) > 0 && (bytes+len(rs.dst) > readVMaxBytes || len(cur.sps) >= readVMaxExtents) {
 				batches = append(batches, cur)
 				cur = batch{srv: srv}
 				bytes = 0
 			}
-			cur.sps = append(cur.sps, sp)
-			bytes += len(sp.dst)
+			cur.sps = append(cur.sps, rs)
+			bytes += len(rs.dst)
 		}
 		batches = append(batches, cur)
 	}
 	return boundedPar(c.parallelism, batches, func(b batch) error {
 		exts := make([]ReadVExtent, len(b.sps))
-		for i, sp := range b.sps {
-			exts[i] = ReadVExtent{Chunk: sp.chunk, Off: sp.off, Len: len(sp.dst)}
+		for i, rs := range b.sps {
+			exts[i] = ReadVExtent{Chunk: rs.chunk, Off: rs.off, Len: len(rs.dst)}
 		}
 		c.readVRPCs.Add(1)
 		c.readVExtents.Add(int64(len(exts)))
-		resp, err := c.call(b.srv, ReadVReq{VDisk: v, Extents: exts}, readVTimeout)
+		resp, err := c.call(sp, b.srv, ReadVReq{VDisk: v, Extents: exts}, readVTimeout)
 		if err == nil {
 			if rr, ok := resp.(ReadVResp); ok {
 				if rr.OK && len(rr.Results) == len(b.sps) {
@@ -882,33 +875,34 @@ func (c *Client) readRspans(v VDiskID, all []rspan) error {
 					}
 					// Per-extent failover: only the damaged extents retry
 					// through the per-chunk path; served data is kept.
-					return c.readFallback(v, failed)
+					return c.readFallback(sp, v, failed)
 				}
 				rpc.Release(rr)
 			}
 		}
 		// Server down, lagging, or unknown vdisk: per-chunk reads sort
 		// it out with the usual failover and state refresh.
-		return c.readFallback(v, b.sps)
+		return c.readFallback(sp, v, b.sps)
 	})
 }
 
 // readFallback reads chunk spans one by one through the failover
 // path, with bounded parallelism.
-func (c *Client) readFallback(v VDiskID, sps []rspan) error {
-	return boundedPar(c.parallelism, sps, func(sp rspan) error {
-		return c.readChunk(v, sp.chunk, sp.off, len(sp.dst), sp.dst)
+func (c *Client) readFallback(sp *obs.Span, v VDiskID, sps []rspan) error {
+	return boundedPar(c.parallelism, sps, func(rs rspan) error {
+		return c.readChunk(sp, v, rs.chunk, rs.off, len(rs.dst), rs.dst)
 	})
 }
 
-// Write stores p at byte offset off, committing chunks as needed.
-func (c *Client) Write(v VDiskID, off int64, p []byte) error {
+// Write stores p at byte offset off on behalf of sp's operation (nil
+// for none), committing chunks as needed.
+func (c *Client) Write(sp *obs.Span, v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
-	return c.instr("write", func() error {
+	return c.instr(sp, "write", func(sp *obs.Span) error {
 		return c.forEachSpan(spans(off, len(p)), func(s span) error {
-			return c.writeChunk(v, s.chunk, s.off, p[s.bufOff:s.bufOff+s.length])
+			return c.writeChunk(sp, v, s.chunk, s.off, p[s.bufOff:s.bufOff+s.length])
 		})
 	})
 }
@@ -935,7 +929,10 @@ const (
 	writeVTimeout    = 15 * time.Second
 )
 
-// WriteV stores every extent, batching them into as few server round
+// WriteV is WriteVIn outside any operation.
+func (c *Client) WriteV(v VDiskID, extents []Extent) error { return c.WriteVIn(nil, v, extents) }
+
+// WriteVIn stores every extent on behalf of sp's operation, batching them into as few server round
 // trips as possible: extents are split at chunk boundaries, grouped
 // by their primary replica, and dispatched with bounded parallelism —
 // ideally one WriteVReq per primary. Each batch is applied under a
@@ -944,11 +941,11 @@ const (
 // failover, so WriteV is exactly as robust as issuing the extents
 // through Write. The caller must not mutate extent data until WriteV
 // returns.
-func (c *Client) WriteV(v VDiskID, extents []Extent) error {
-	return c.instr("writev", func() error { return c.writeV(v, extents) })
+func (c *Client) WriteVIn(sp *obs.Span, v VDiskID, extents []Extent) error {
+	return c.instr(sp, "writev", func(sp *obs.Span) error { return c.writeV(sp, v, extents) })
 }
 
-func (c *Client) writeV(v VDiskID, extents []Extent) error {
+func (c *Client) writeV(sp *obs.Span, v VDiskID, extents []Extent) error {
 	var all []wspan
 	for _, e := range extents {
 		if e.Off < 0 {
@@ -962,12 +959,12 @@ func (c *Client) writeV(v VDiskID, extents []Extent) error {
 		return nil
 	}
 	if len(all) == 1 {
-		return c.writeChunk(v, all[0].chunk, all[0].off, all[0].data)
+		return c.writeChunk(sp, v, all[0].chunk, all[0].off, all[0].data)
 	}
 	st, err := c.getState()
 	if err != nil {
 		// No routing state: the per-chunk path refreshes and retries.
-		return c.writeWspans(v, all)
+		return c.writeWspans(sp, v, all)
 	}
 	c.mu.Lock()
 	li := c.leaseInfo
@@ -985,12 +982,12 @@ func (c *Client) writeV(v VDiskID, extents []Extent) error {
 	// size-capped batches.
 	groups := make(map[string][]wspan)
 	var tl targetList
-	for _, sp := range all {
-		c.targets(&st, v, sp.chunk, &tl)
+	for _, ws := range all {
+		c.targets(&st, v, ws.chunk, &tl)
 		if tl.n == 0 {
 			return ErrUnavailable
 		}
-		groups[tl.srv[0]] = append(groups[tl.srv[0]], sp)
+		groups[tl.srv[0]] = append(groups[tl.srv[0]], ws)
 	}
 	type batch struct {
 		srv string
@@ -1000,26 +997,26 @@ func (c *Client) writeV(v VDiskID, extents []Extent) error {
 	for srv, sps := range groups {
 		cur := batch{srv: srv}
 		bytes := 0
-		for _, sp := range sps {
-			if len(cur.sps) > 0 && (bytes+len(sp.data) > writeVMaxBytes || len(cur.sps) >= writeVMaxExtents) {
+		for _, ws := range sps {
+			if len(cur.sps) > 0 && (bytes+len(ws.data) > writeVMaxBytes || len(cur.sps) >= writeVMaxExtents) {
 				batches = append(batches, cur)
 				cur = batch{srv: srv}
 				bytes = 0
 			}
-			cur.sps = append(cur.sps, sp)
-			bytes += len(sp.data)
+			cur.sps = append(cur.sps, ws)
+			bytes += len(ws.data)
 		}
 		batches = append(batches, cur)
 	}
 	return boundedPar(c.parallelism, batches, func(b batch) error {
 		exts := make([]WriteVExtent, len(b.sps))
-		for i, sp := range b.sps {
-			exts[i] = WriteVExtent{Chunk: sp.chunk, Off: sp.off, Data: sp.data}
+		for i, ws := range b.sps {
+			exts[i] = WriteVExtent{Chunk: ws.chunk, Off: ws.off, Data: ws.data}
 		}
 		req := WriteVReq{VDisk: v, Extents: exts, ExpireAt: expireAt, LeaseID: leaseID, Epoch: epoch}
 		c.writeVRPCs.Add(1)
 		c.writeVExtents.Add(int64(len(exts)))
-		resp, err := c.call(b.srv, req, writeVTimeout)
+		resp, err := c.call(sp, b.srv, req, writeVTimeout)
 		if err == nil {
 			if wr, ok := resp.(WriteVResp); ok {
 				if wr.OK {
@@ -1032,15 +1029,15 @@ func (c *Client) writeV(v VDiskID, extents []Extent) error {
 		}
 		// Server down, lagging, or mid-batch failure: per-chunk writes
 		// sort out partial progress (chunk replays are idempotent).
-		return c.writeWspans(v, b.sps)
+		return c.writeWspans(sp, v, b.sps)
 	})
 }
 
 // writeWspans writes chunk spans one by one through the failover
 // path, with bounded parallelism.
-func (c *Client) writeWspans(v VDiskID, sps []wspan) error {
-	return boundedPar(c.parallelism, sps, func(sp wspan) error {
-		return c.writeChunk(v, sp.chunk, sp.off, sp.data)
+func (c *Client) writeWspans(sp *obs.Span, v VDiskID, sps []wspan) error {
+	return boundedPar(c.parallelism, sps, func(ws wspan) error {
+		return c.writeChunk(sp, v, ws.chunk, ws.off, ws.data)
 	})
 }
 
@@ -1048,7 +1045,7 @@ func (c *Client) writeWspans(v VDiskID, sps []wspan) error {
 func (c *Client) admin(cmd Command) error {
 	var lastErr error = ErrUnavailable
 	for _, s := range c.servers {
-		resp, err := c.ep.Call(DataAddr(s), AdminReq{Cmd: cmd}, 120*time.Second)
+		resp, err := c.ep.Call(nil, DataAddr(s), AdminReq{Cmd: cmd}, 120*time.Second)
 		if err != nil {
 			lastErr = err
 			continue
@@ -1089,9 +1086,10 @@ func (c *Client) Snapshot(parent, snap VDiskID) error {
 }
 
 // Decommit frees physical storage backing [off, off+length) of the
-// virtual disk. Only whole chunks fully inside the range are freed,
-// matching Petal's 64 KB decommit granularity.
-func (c *Client) Decommit(v VDiskID, off int64, length int64) error {
+// virtual disk, on behalf of sp's operation (nil for none). Only whole
+// chunks fully inside the range are freed, matching Petal's 64 KB
+// decommit granularity.
+func (c *Client) Decommit(sp *obs.Span, v VDiskID, off int64, length int64) error {
 	first := (off + ChunkSize - 1) / ChunkSize
 	last := (off+length)/ChunkSize - 1
 	if last < first {
@@ -1101,7 +1099,7 @@ func (c *Client) Decommit(v VDiskID, off int64, length int64) error {
 	// request is O(1) on the wire and O(committed) at each server.
 	any := false
 	for _, srv := range c.servers {
-		resp, err := c.ep.Call(DataAddr(srv), DecommitReq{VDisk: v, FirstChunk: first, LastChunk: last}, dataTimeout)
+		resp, err := c.ep.Call(sp, DataAddr(srv), DecommitReq{VDisk: v, FirstChunk: first, LastChunk: last}, dataTimeout)
 		if err != nil {
 			continue
 		}
@@ -1125,7 +1123,7 @@ func (c *Client) ListChunks(v VDiskID) ([]int64, error) {
 	seen := make(map[int64]bool)
 	any := false
 	for _, s := range c.servers {
-		resp, err := c.ep.Call(DataAddr(s), ListChunksReq{VDisk: v}, dataTimeout)
+		resp, err := c.ep.Call(nil, DataAddr(s), ListChunksReq{VDisk: v}, dataTimeout)
 		if err != nil {
 			continue
 		}
@@ -1165,10 +1163,10 @@ func (c *Client) Open(id VDiskID) *VDisk { return &VDisk{c: c, id: id} }
 func (d *VDisk) ID() VDiskID { return d.id }
 
 // ReadAt fills p at byte offset off.
-func (d *VDisk) ReadAt(p []byte, off int64) error { return d.c.Read(d.id, off, p) }
+func (d *VDisk) ReadAt(p []byte, off int64) error { return d.c.Read(nil, d.id, off, p) }
 
 // WriteAt stores p at byte offset off.
-func (d *VDisk) WriteAt(p []byte, off int64) error { return d.c.Write(d.id, off, p) }
+func (d *VDisk) WriteAt(p []byte, off int64) error { return d.c.Write(nil, d.id, off, p) }
 
 // WriteV stores a set of extents with one scatter-gather call.
 func (d *VDisk) WriteV(extents []Extent) error { return d.c.WriteV(d.id, extents) }

@@ -160,7 +160,7 @@ func TestDecommitFreesSpace(t *testing.T) {
 	for _, s := range tc.servers {
 		before += s.CommittedBytes()
 	}
-	if err := tc.client.Decommit("vol", 0, 4*ChunkSize); err != nil {
+	if err := tc.client.Decommit(nil, "vol", 0, 4*ChunkSize); err != nil {
 		t.Fatal(err)
 	}
 	after := int64(0)
@@ -190,13 +190,13 @@ func TestVDiskErrors(t *testing.T) {
 	if err := tc.client.CreateVDisk("vol"); err == nil {
 		t.Fatal("duplicate create succeeded")
 	}
-	if err := tc.client.Read("ghost", 0, make([]byte, 10)); err == nil {
+	if err := tc.client.Read(nil, "ghost", 0, make([]byte, 10)); err == nil {
 		t.Fatal("read of missing vdisk succeeded")
 	}
 	if err := tc.client.DeleteVDisk("vol"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.client.Write("vol", 0, []byte{1}); err == nil {
+	if err := tc.client.Write(nil, "vol", 0, []byte{1}); err == nil {
 		t.Fatal("write to deleted vdisk succeeded")
 	}
 }

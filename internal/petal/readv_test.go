@@ -281,7 +281,7 @@ func TestRetriesRespectOpDeadline(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	tc.client.opDeadline = 2 * time.Second
 	start := tc.w.Clock.Now()
-	err := tc.client.Read("never-created", 0, make([]byte, 256))
+	err := tc.client.Read(nil, "never-created", 0, make([]byte, 256))
 	if err == nil {
 		t.Fatal("read of a nonexistent vdisk succeeded")
 	}

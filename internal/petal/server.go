@@ -202,8 +202,9 @@ func (s *Server) isDown() bool {
 	return s.crashed || s.closed
 }
 
-// handle serves the Petal data and control protocol.
-func (s *Server) handle(from string, body any) any {
+// handle serves the Petal data and control protocol. sp carries the
+// sender's trace context and principal.
+func (s *Server) handle(sp *obs.Span, from string, body any) any {
 	if s.isDown() {
 		// The request will never be served; recycle any pooled
 		// receive buffer its payload occupies.
@@ -211,18 +212,17 @@ func (s *Server) handle(from string, body any) any {
 		return nil
 	}
 	s.reqC.Inc()
-	// The rpc layer rebinds the sender's principal around handlers, so
-	// server-side work is charged to the originating client.
-	s.acct.ServerOp(obs.CurrentPrincipal())
+	// Server-side work is charged to the originating client.
+	s.acct.ServerOp(sp.Who())
 	switch m := body.(type) {
 	case ReadReq:
-		return s.spanned("server.read", func() any { return s.onRead(m) })
+		return s.spanned(sp, "server.read", func(*obs.Span) any { return s.onRead(m) })
 	case ReadVReq:
-		return s.spanned("server.readv", func() any { return s.onReadV(m) })
+		return s.spanned(sp, "server.readv", func(*obs.Span) any { return s.onReadV(m) })
 	case WriteReq:
-		return s.spanned("server.write", func() any { return s.onWrite(m, from) })
+		return s.spanned(sp, "server.write", func(sp *obs.Span) any { return s.onWrite(sp, m) })
 	case WriteVReq:
-		return s.spanned("server.writev", func() any { return s.onWriteV(m) })
+		return s.spanned(sp, "server.writev", func(sp *obs.Span) any { return s.onWriteV(sp, m) })
 	case DecommitReq:
 		return s.onDecommit(m)
 	case AdminReq:
@@ -276,22 +276,16 @@ func (s *Server) handle(from string, body any) any {
 	return nil
 }
 
-// spanned runs a data-path handler under a server-side child span
-// when the request arrived with trace context (which the rpc layer
-// binds to the handler goroutine), tracking the server's in-flight
-// request count and its high-water mark.
-func (s *Server) spanned(op string, fn func() any) any {
+// spanned runs a data-path handler under a server-side child of the
+// request's remote span (when it arrived with trace context), tracking
+// the server's in-flight request count and its high-water mark.
+func (s *Server) spanned(parent *obs.Span, op string, fn func(sp *obs.Span) any) any {
 	s.inflight.Add(1)
 	s.depthHi.SetMax(s.inflight.Value())
 	defer s.inflight.Add(-1)
-	sp := s.tr.Child("petal", op)
-	if sp == nil {
-		return fn()
-	}
-	var out any
-	obs.With(sp, func() { out = fn() })
-	sp.Done()
-	return out
+	sp := s.tr.Child(parent, "petal", op)
+	defer sp.Done()
+	return fn(sp)
 }
 
 // MissedBacklog reports the number of chunk writes this server's
@@ -338,7 +332,7 @@ func (s *Server) antiEntropy() {
 			if err != nil || !ok {
 				continue
 			}
-			resp, err := s.ep.Call(DataAddr(p), PushChunkReq{Key: key, Data: data}, dataTimeout)
+			resp, err := s.ep.Call(nil, DataAddr(p), PushChunkReq{Key: key, Data: data}, dataTimeout)
 			if err != nil {
 				break // partner still unreachable; try next period
 			}
@@ -463,7 +457,7 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 	return base, ceiling, st, ""
 }
 
-func (s *Server) onWrite(m WriteReq, from string) WriteResp {
+func (s *Server) onWrite(sp *obs.Span, m WriteReq) WriteResp {
 	// On TCP, m.Data aliases a pooled receive buffer. Once the store
 	// has copied the bytes and any replica forward has completed, the
 	// buffer is recycled — unless a forward timed out, in which case
@@ -492,7 +486,7 @@ func (s *Server) onWrite(m WriteReq, from string) WriteResp {
 		return WriteResp{Err: err.Error()}
 	}
 	if !m.Forwarded && !s.cfg.NoReplicate {
-		leaked = s.replicate(st, base, ceiling, m)
+		leaked = s.replicate(sp, st, base, ceiling, m)
 	}
 	return WriteResp{OK: true}
 }
@@ -501,7 +495,7 @@ func (s *Server) onWrite(m WriteReq, from string) WriteResp {
 // epoch resolution cover every extent, then the extents land on the
 // local store in order. Replication forwards the extents grouped by
 // partner so the batch stays batched on the replica hop too.
-func (s *Server) onWriteV(m WriteVReq) WriteVResp {
+func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
 	// Same pooled-buffer discipline as onWrite.
 	leaked := false
 	defer func() {
@@ -535,7 +529,7 @@ func (s *Server) onWriteV(m WriteVReq) WriteVResp {
 		return WriteVResp{Err: errStr}
 	}
 	if !m.Forwarded && !s.cfg.NoReplicate {
-		leaked = s.replicateV(st, base, ceiling, m)
+		leaked = s.replicateV(sp, st, base, ceiling, m)
 	}
 	return WriteVResp{OK: true}
 }
@@ -615,7 +609,7 @@ func conflictUnits(exts []WriteVExtent) [][]WriteVExtent {
 // returned leaked flag is true when a forward call errored — the
 // request payload may still be queued at the carrier, so the caller
 // must not recycle its buffer.
-func (s *Server) replicateV(st GlobalState, base VDiskID, epoch int64, m WriteVReq) (leaked bool) {
+func (s *Server) replicateV(sp *obs.Span, st GlobalState, base VDiskID, epoch int64, m WriteVReq) (leaked bool) {
 	byPartner := make(map[string][]WriteVExtent)
 	for _, e := range m.Extents {
 		p1, p2 := st.replicas(base, e.Chunk)
@@ -634,7 +628,7 @@ func (s *Server) replicateV(st GlobalState, base VDiskID, epoch int64, m WriteVR
 		partnerAlive := st.Alive[partner]
 		s.mu.Unlock()
 		if partnerAlive {
-			resp, err := s.ep.Call(DataAddr(partner), fw, dataTimeout)
+			resp, err := s.ep.Call(sp, DataAddr(partner), fw, dataTimeout)
 			if err == nil {
 				if wr, ok := resp.(WriteVResp); ok && wr.OK {
 					continue
@@ -661,7 +655,7 @@ func (s *Server) replicateV(st GlobalState, base VDiskID, epoch int64, m WriteVR
 // a missed write if the partner is down or unreachable. As with
 // replicateV, leaked reports that the forwarded payload may still be
 // queued at the carrier.
-func (s *Server) replicate(st GlobalState, base VDiskID, epoch int64, m WriteReq) (leaked bool) {
+func (s *Server) replicate(sp *obs.Span, st GlobalState, base VDiskID, epoch int64, m WriteReq) (leaked bool) {
 	p1, p2 := st.replicas(base, m.Chunk)
 	partner := p1
 	if p1 == s.name {
@@ -677,7 +671,7 @@ func (s *Server) replicate(st GlobalState, base VDiskID, epoch int64, m WriteReq
 	partnerAlive := st.Alive[partner]
 	s.mu.Unlock()
 	if partnerAlive {
-		resp, err := s.ep.Call(DataAddr(partner), fw, dataTimeout)
+		resp, err := s.ep.Call(sp, DataAddr(partner), fw, dataTimeout)
 		if err == nil {
 			if wr, ok := resp.(WriteResp); ok && wr.OK {
 				return false
@@ -763,7 +757,7 @@ func (s *Server) rejoin() {
 		if p == s.name || s.isDown() {
 			continue
 		}
-		resp, err := s.ep.Call(DataAddr(p), MissedListReq{For: s.name}, dataTimeout)
+		resp, err := s.ep.Call(nil, DataAddr(p), MissedListReq{For: s.name}, dataTimeout)
 		if err != nil {
 			continue
 		}
@@ -773,7 +767,7 @@ func (s *Server) rejoin() {
 		}
 		var synced []chunkKey
 		for _, key := range ml.Keys {
-			fr, err := s.ep.Call(DataAddr(p), ChunkFetchReq{Key: key}, dataTimeout)
+			fr, err := s.ep.Call(nil, DataAddr(p), ChunkFetchReq{Key: key}, dataTimeout)
 			if err != nil {
 				continue
 			}
@@ -786,7 +780,7 @@ func (s *Server) rejoin() {
 			}
 		}
 		if len(synced) > 0 {
-			_, _ = s.ep.Call(DataAddr(p), MissedAckReq{For: s.name, Keys: synced}, dataTimeout)
+			_, _ = s.ep.Call(nil, DataAddr(p), MissedAckReq{For: s.name, Keys: synced}, dataTimeout)
 		}
 	}
 	_ = s.px.Submit(CmdSetAlive{Server: s.name, Alive: true}, 60*time.Second)

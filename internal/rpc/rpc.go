@@ -33,10 +33,10 @@ var (
 )
 
 // Envelope frames every message on the wire. Trace and Span carry
-// the sender's active trace context (obs), so one operation can be
-// followed across layers and machines; both are 0 when the sender
-// was not inside a traced operation. Principal carries the sender's
-// bound client/tenant tag the same way, so server-side work is
+// the trace context of the span the sender passed (obs), so one
+// operation can be followed across layers and machines; both are 0
+// when the sender was not inside a traced operation. Principal carries
+// that span's client/tenant tag the same way, so server-side work is
 // charged to the client it serves. It is exported so the wire codec's
 // tests and benchmarks can drive the exact carrier format.
 type Envelope struct {
@@ -48,11 +48,13 @@ type Envelope struct {
 	Body      any
 }
 
-// HandlerFunc serves an incoming message. For messages sent with
-// Call, the returned value (if non-nil) is sent back as the reply.
-// For casts the return value is ignored. Handlers run on dedicated
-// goroutines; they may block.
-type HandlerFunc func(from string, body any) (reply any)
+// HandlerFunc serves an incoming message. sp is the sender's context
+// rebuilt by obs.Remote: it parents the handler's spans and names the
+// principal to charge; nil when the sender passed none. For messages
+// sent with Call, the returned value (if non-nil) is sent back as the
+// reply. For casts the return value is ignored. Handlers run on
+// dedicated goroutines; they may block.
+type HandlerFunc func(sp *obs.Span, from string, body any) (reply any)
 
 // Carrier abstracts the underlying datagram network so Endpoint works
 // over both sim.Network and TCP.
@@ -143,60 +145,48 @@ func (e *Endpoint) receive(from string, body any, size int) {
 		return
 	}
 	h := hv.(HandlerFunc)
+	sp := obs.Remote(env.Trace, env.Span, env.Principal)
 	if env.ID == 0 {
 		// Casts run synchronously on the delivery goroutine so that
 		// per-pair FIFO network ordering extends to handler execution;
 		// the lock protocol depends on a release sent before a request
 		// being processed before it.
-		withEnvContext(env, func() { h(from, env.Body) })
+		h(sp, from, env.Body)
 		return
 	}
 	go func() {
-		var reply any
-		withEnvContext(env, func() { reply = h(from, env.Body) })
-		if reply != nil {
+		if reply := h(sp, from, env.Body); reply != nil {
 			_ = e.carrier.Send(e.addr, from, Envelope{ID: env.ID, IsReply: true, Body: reply}, sizeOf(reply))
 		}
 	}()
 }
 
-// withEnvContext runs fn under the envelope's remote trace span and
-// principal bindings, skipping whichever is absent, so handler-side
-// spans join the sender's trace and handler-side work is charged to
-// the sender's principal.
-func withEnvContext(env Envelope, fn func()) {
-	if env.Trace != 0 {
-		inner := fn
-		fn = func() { obs.With(obs.Remote(env.Trace, env.Span), inner) }
+// envelope frames body with sp's trace context and principal.
+func envelope(sp *obs.Span, id uint64, body any) Envelope {
+	env := Envelope{ID: id, Body: body}
+	if sp != nil {
+		env.Trace, env.Span, env.Principal = sp.TraceID, sp.ID, sp.Principal
 	}
-	if env.Principal != "" {
-		inner := fn
-		fn = func() { obs.WithPrincipal(env.Principal, inner) }
-	}
-	fn()
+	return env
 }
 
-// Cast sends a one-way message. Delivery is best-effort: an error is
-// returned only for immediately-detectable failures (unknown or
-// unreachable destination).
-func (e *Endpoint) Cast(to string, body any) error {
+// Cast sends a one-way message on behalf of sp's operation (nil for
+// none). Delivery is best-effort: an error is returned only for
+// immediately-detectable failures (unknown or unreachable
+// destination).
+func (e *Endpoint) Cast(sp *obs.Span, to string, body any) error {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
-	env := Envelope{Body: body}
-	if sp := obs.Current(); sp != nil {
-		env.Trace, env.Span = sp.TraceID, sp.ID
-	}
-	env.Principal = obs.CurrentPrincipal()
-	return e.carrier.Send(e.addr, to, env, sizeOf(body))
+	return e.carrier.Send(e.addr, to, envelope(sp, 0, body), sizeOf(body))
 }
 
-// Call sends a request and waits up to timeout (simulated time) for
-// the reply.
-func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) {
+// Call sends a request on behalf of sp's operation (nil for none) and
+// waits up to timeout (simulated time) for the reply.
+func (e *Endpoint) Call(sp *obs.Span, to string, req any, timeout time.Duration) (any, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -208,12 +198,7 @@ func (e *Endpoint) Call(to string, req any, timeout time.Duration) (any, error) 
 	e.pending[id] = ch
 	e.mu.Unlock()
 
-	env := Envelope{ID: id, Body: req}
-	if sp := obs.Current(); sp != nil {
-		env.Trace, env.Span = sp.TraceID, sp.ID
-	}
-	env.Principal = obs.CurrentPrincipal()
-	err := e.carrier.Send(e.addr, to, env, sizeOf(req))
+	err := e.carrier.Send(e.addr, to, envelope(sp, id, req), sizeOf(req))
 	if err != nil {
 		e.mu.Lock()
 		delete(e.pending, id)

@@ -24,7 +24,7 @@ func newPair(t *testing.T) (*sim.World, *Endpoint, *Endpoint) {
 	w.AddMachine("b", sim.DefaultLinkParams())
 	carrier := SimCarrier{Net: w.Net}
 	a := NewEndpoint("a", carrier, w.Clock, nil)
-	b := NewEndpoint("b", carrier, w.Clock, func(from string, body any) any {
+	b := NewEndpoint("b", carrier, w.Clock, func(_ *obs.Span, from string, body any) any {
 		if r, ok := body.(echoReq); ok {
 			return echoResp{N: r.N + 1}
 		}
@@ -36,7 +36,7 @@ func newPair(t *testing.T) (*sim.World, *Endpoint, *Endpoint) {
 
 func TestCallRoundTrip(t *testing.T) {
 	_, a, _ := newPair(t)
-	got, err := a.Call("b", echoReq{N: 41}, 5*time.Second)
+	got, err := a.Call(nil, "b", echoReq{N: 41}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestConcurrentCallsCorrelate(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			got, err := a.Call("b", echoReq{N: n}, 10*time.Second)
+			got, err := a.Call(nil, "b", echoReq{N: n}, 10*time.Second)
 			if err != nil {
 				t.Errorf("call %d: %v", n, err)
 				return
@@ -67,11 +67,11 @@ func TestConcurrentCallsCorrelate(t *testing.T) {
 
 func TestCallTimeout(t *testing.T) {
 	w, a, b := newPair(t)
-	b.Handle(func(from string, body any) any {
+	b.Handle(func(_ *obs.Span, from string, body any) any {
 		w.Clock.Sleep(time.Hour) // never answer in time
 		return echoResp{}
 	})
-	_, err := a.Call("b", echoReq{}, 200*time.Millisecond)
+	_, err := a.Call(nil, "b", echoReq{}, 200*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -80,7 +80,7 @@ func TestCallTimeout(t *testing.T) {
 func TestCallUnreachable(t *testing.T) {
 	w, a, _ := newPair(t)
 	w.Net.Isolate("b")
-	_, err := a.Call("b", echoReq{}, time.Second)
+	_, err := a.Call(nil, "b", echoReq{}, time.Second)
 	if !errors.Is(err, sim.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -89,11 +89,11 @@ func TestCallUnreachable(t *testing.T) {
 func TestCast(t *testing.T) {
 	_, a, b := newPair(t)
 	got := make(chan any, 1)
-	b.Handle(func(from string, body any) any {
+	b.Handle(func(_ *obs.Span, from string, body any) any {
 		got <- body
 		return nil
 	})
-	if err := a.Cast("b", "ping"); err != nil {
+	if err := a.Cast(nil, "b", "ping"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -106,32 +106,29 @@ func TestCast(t *testing.T) {
 	}
 }
 
-// TestPrincipalPropagatesSim checks the sender's bound principal is
-// rebound around the handler for both Call (fresh goroutine) and Cast
-// (delivery goroutine), and absent when the sender was unbound.
+// TestPrincipalPropagatesSim checks the principal of the sender's
+// span reaches the handler's span for both Call (fresh goroutine) and
+// Cast (delivery goroutine), and is absent when the sender passed no
+// span.
 func TestPrincipalPropagatesSim(t *testing.T) {
 	_, a, b := newPair(t)
 	seen := make(chan string, 1)
-	b.Handle(func(from string, body any) any {
-		seen <- obs.CurrentPrincipal()
+	b.Handle(func(sp *obs.Span, from string, body any) any {
+		seen <- sp.Who()
 		if _, ok := body.(echoReq); ok {
 			return echoResp{}
 		}
 		return nil
 	})
-	obs.WithPrincipal("tenant-a", func() {
-		if _, err := a.Call("b", echoReq{N: 1}, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	})
+	if _, err := a.Call(&obs.Span{Principal: "tenant-a"}, "b", echoReq{N: 1}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if got := <-seen; got != "tenant-a" {
 		t.Fatalf("call handler saw principal %q, want tenant-a", got)
 	}
-	obs.WithPrincipal("tenant-b", func() {
-		if err := a.Cast("b", "ping"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	if err := a.Cast(&obs.Span{Principal: "tenant-b"}, "b", "ping"); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case got := <-seen:
 		if got != "tenant-b" {
@@ -140,8 +137,8 @@ func TestPrincipalPropagatesSim(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("cast not delivered")
 	}
-	// Unbound sender: the handler must see no principal.
-	if _, err := a.Call("b", echoReq{N: 2}, 5*time.Second); err != nil {
+	// No span: the handler must see no principal.
+	if _, err := a.Call(nil, "b", echoReq{N: 2}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-seen; got != "" {
@@ -155,10 +152,10 @@ func TestPrincipalPropagatesSim(t *testing.T) {
 func TestClosedEndpoint(t *testing.T) {
 	_, a, _ := newPair(t)
 	a.Close()
-	if err := a.Cast("b", "x"); !errors.Is(err, ErrClosed) {
+	if err := a.Cast(nil, "b", "x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("cast after close: %v", err)
 	}
-	if _, err := a.Call("b", echoReq{}, time.Second); !errors.Is(err, ErrClosed) {
+	if _, err := a.Call(nil, "b", echoReq{}, time.Second); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close: %v", err)
 	}
 }
@@ -166,13 +163,13 @@ func TestClosedEndpoint(t *testing.T) {
 func TestReplyToClosedCallerDoesNotBlock(t *testing.T) {
 	w, a, b := newPair(t)
 	release := make(chan struct{})
-	b.Handle(func(from string, body any) any {
+	b.Handle(func(_ *obs.Span, from string, body any) any {
 		<-release
 		return echoResp{N: 1}
 	})
 	done := make(chan struct{})
 	go func() {
-		_, _ = a.Call("b", echoReq{}, 50*time.Millisecond)
+		_, _ = a.Call(nil, "b", echoReq{}, 50*time.Millisecond)
 		close(done)
 	}()
 	<-done // call timed out
@@ -189,12 +186,12 @@ func TestSizerChargesBandwidth(t *testing.T) {
 	carrier := SimCarrier{Net: w.Net}
 	a := NewEndpoint("a", carrier, w.Clock, nil)
 	got := make(chan struct{}, 1)
-	NewEndpoint("b", carrier, w.Clock, func(string, any) any {
+	NewEndpoint("b", carrier, w.Clock, func(*obs.Span, string, any) any {
 		got <- struct{}{}
 		return nil
 	})
 	start := w.Clock.Now()
-	if err := a.Cast("b", bigMsg{bytes: 512 << 10}); err != nil { // 512 KB at 1 MB/s
+	if err := a.Cast(nil, "b", bigMsg{bytes: 512 << 10}); err != nil { // 512 KB at 1 MB/s
 		t.Fatal(err)
 	}
 	<-got

@@ -46,7 +46,7 @@ func TestTCPReconnectRace(t *testing.T) {
 				}
 				// Best-effort: sends racing a teardown may fail or be
 				// dropped; the carrier just must not deadlock or race.
-				_ = tx.Cast("rx", tcpEcho{N: g*1000 + i})
+				_ = tx.Cast(nil, "rx", tcpEcho{N: g*1000 + i})
 			}
 		}(g)
 	}
@@ -66,7 +66,7 @@ func TestTCPReconnectRace(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no delivery after reconnect churn")
 		}
-		_ = tx.Cast("rx", tcpEcho{N: -1})
+		_ = tx.Cast(nil, "rx", tcpEcho{N: -1})
 		time.Sleep(5 * time.Millisecond)
 	}
 }

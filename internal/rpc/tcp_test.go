@@ -23,7 +23,7 @@ func newTCPPair(t *testing.T) (*Endpoint, *Endpoint, *TCPCarrier) {
 	carrier := NewTCPCarrier()
 	clock := sim.NewClock(1)
 	a := NewEndpoint("a", carrier, clock, nil)
-	b := NewEndpoint("b", carrier, clock, func(from string, body any) any {
+	b := NewEndpoint("b", carrier, clock, func(_ *obs.Span, from string, body any) any {
 		if r, ok := body.(tcpEcho); ok {
 			return tcpEchoResp{N: r.N * 2}
 		}
@@ -39,7 +39,7 @@ func newTCPPair(t *testing.T) (*Endpoint, *Endpoint, *TCPCarrier) {
 
 func TestTCPCallRoundTrip(t *testing.T) {
 	a, _, _ := newTCPPair(t)
-	got, err := a.Call("b", tcpEcho{N: 21}, 5*time.Second)
+	got, err := a.Call(nil, "b", tcpEcho{N: 21}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			got, err := a.Call("b", tcpEcho{N: n}, 10*time.Second)
+			got, err := a.Call(nil, "b", tcpEcho{N: n}, 10*time.Second)
 			if err != nil {
 				t.Errorf("call %d: %v", n, err)
 				return
@@ -69,20 +69,18 @@ func TestTCPConcurrentCalls(t *testing.T) {
 }
 
 // TestTCPPrincipalPropagates checks the principal tag survives the
-// real wire: framed by the codec on send, rebound around the handler
-// on the receiving side.
+// real wire: framed by the codec on send, handed to the handler in its
+// span on the receiving side.
 func TestTCPPrincipalPropagates(t *testing.T) {
 	a, b, _ := newTCPPair(t)
 	seen := make(chan string, 1)
-	b.Handle(func(from string, body any) any {
-		seen <- obs.CurrentPrincipal()
+	b.Handle(func(sp *obs.Span, from string, body any) any {
+		seen <- sp.Who()
 		return tcpEchoResp{}
 	})
-	obs.WithPrincipal("tenant-tcp", func() {
-		if _, err := a.Call("b", tcpEcho{N: 1}, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	})
+	if _, err := a.Call(&obs.Span{Principal: "tenant-tcp"}, "b", tcpEcho{N: 1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case got := <-seen:
 		if got != "tenant-tcp" {
@@ -97,13 +95,13 @@ func TestTCPCast(t *testing.T) {
 	carrier := NewTCPCarrier()
 	clock := sim.NewClock(1)
 	got := make(chan any, 1)
-	NewEndpoint("rx", carrier, clock, func(from string, body any) any {
+	NewEndpoint("rx", carrier, clock, func(_ *obs.Span, from string, body any) any {
 		got <- body
 		return nil
 	})
 	tx := NewEndpoint("tx", carrier, clock, nil)
 	defer carrier.Close()
-	if err := tx.Cast("rx", tcpEcho{N: 7}); err != nil {
+	if err := tx.Cast(nil, "rx", tcpEcho{N: 7}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -122,7 +120,7 @@ func TestTCPOrderingPerPair(t *testing.T) {
 	var mu sync.Mutex
 	var seen []int
 	done := make(chan struct{}, 64)
-	NewEndpoint("rx", carrier, clock, func(from string, body any) any {
+	NewEndpoint("rx", carrier, clock, func(_ *obs.Span, from string, body any) any {
 		if m, ok := body.(tcpEcho); ok {
 			mu.Lock()
 			seen = append(seen, m.N)
@@ -135,7 +133,7 @@ func TestTCPOrderingPerPair(t *testing.T) {
 	defer carrier.Close()
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := tx.Cast("rx", tcpEcho{N: i}); err != nil {
+		if err := tx.Cast(nil, "rx", tcpEcho{N: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,12 +158,12 @@ func TestTCPUnknownHost(t *testing.T) {
 	clock := sim.NewClock(1)
 	a := NewEndpoint("a", carrier, clock, nil)
 	defer carrier.Close()
-	if err := a.Cast("ghost", tcpEcho{}); err == nil {
+	if err := a.Cast(nil, "ghost", tcpEcho{}); err == nil {
 		t.Fatal("cast to unknown host succeeded")
 	}
 	// Calls to a dead-but-known address time out cleanly.
 	carrier.SetAddr("zombie", "127.0.0.1:1")
-	if _, err := a.Call("zombie", tcpEcho{}, 500*time.Millisecond); err == nil {
+	if _, err := a.Call(nil, "zombie", tcpEcho{}, 500*time.Millisecond); err == nil {
 		t.Fatal("call to dead address succeeded")
 	} else if errors.Is(err, ErrClosed) {
 		t.Fatal("wrong error kind")

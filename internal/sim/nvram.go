@@ -39,6 +39,7 @@ type NVRAM struct {
 	order   []int64            // FIFO destage order (queued entries)
 	epoch   int64
 	stopped bool
+	exited  chan struct{} // closed when the destager returns
 }
 
 // NewNVRAM wraps disk with capacity bytes of write buffer. Writes
@@ -50,6 +51,7 @@ func NewNVRAM(clock *Clock, disk *Disk, capacity int, latency Duration) *NVRAM {
 		capacity: capacity / SectorSize,
 		latency:  latency,
 		dirty:    make(map[int64]*nvEntry),
+		exited:   make(chan struct{}),
 	}
 	n.cond = sync.NewCond(&n.mu)
 	go n.destager()
@@ -124,6 +126,7 @@ func (n *NVRAM) ReadAt(p []byte, off int64) error {
 // the overlay until the disk write completes, and survive if they are
 // re-dirtied while in flight.
 func (n *NVRAM) destager() {
+	defer close(n.exited)
 	for {
 		n.mu.Lock()
 		for len(n.order) == 0 && !n.stopped {
@@ -182,11 +185,12 @@ func (n *NVRAM) Flush() {
 	n.mu.Unlock()
 }
 
-// Close stops the destager after draining.
+// Close stops the destager after draining and waits for it to exit.
 func (n *NVRAM) Close() {
 	n.Flush()
 	n.mu.Lock()
 	n.stopped = true
 	n.cond.Broadcast()
 	n.mu.Unlock()
+	<-n.exited
 }

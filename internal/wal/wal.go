@@ -60,6 +60,15 @@ type BlockRegion interface {
 	WriteAt(p []byte, off int64) error
 }
 
+// TracedRegion is a BlockRegion whose I/O can run on behalf of a
+// traced operation: a log flush passes its span, so the region's
+// Petal RPCs join the flushing operation's trace and are charged to
+// its principal. Flushes use it when the region implements it.
+type TracedRegion interface {
+	ReadAtIn(sp *obs.Span, p []byte, off int64) error
+	WriteAtIn(sp *obs.Span, p []byte, off int64) error
+}
+
 // BlockDev is the device holding the metadata blocks that replay
 // writes to (the whole Petal virtual disk).
 type BlockDev = BlockRegion
@@ -219,10 +228,14 @@ func encodeRecord(seq int64, ups []Update) ([]byte, error) {
 	return rec, nil
 }
 
-// Append buffers a record describing the updates and returns its
-// sequence number. The record is durable only after Flush. If the
-// log is too full, the reclaim callback runs synchronously first.
-func (l *Log) Append(ups []Update) (int64, error) {
+// Append is AppendIn outside any operation.
+func (l *Log) Append(ups []Update) (int64, error) { return l.AppendIn(nil, ups) }
+
+// AppendIn buffers a record describing the updates on behalf of sp's
+// operation and returns its sequence number. The record is durable
+// only after Flush. If the log is too full, the reclaim callback runs
+// synchronously first.
+func (l *Log) AppendIn(sp *obs.Span, ups []Update) (int64, error) {
 	l.mu.Lock()
 	var start int64
 	if l.now != nil {
@@ -246,13 +259,13 @@ func (l *Log) Append(ups []Update) (int64, error) {
 		l.stallReclaims.Inc()
 		target := l.tail + l.streamCapacity()/4
 		var through int64
-		for _, sp := range l.pending {
-			if sp.start < target {
-				through = sp.seq
+		for _, r := range l.pending {
+			if r.start < target {
+				through = r.seq
 			}
 		}
 		cb := l.reclaim
-		l.jr.Record("wal", "reclaim", "full", uint64(through), l.head-l.tail, "")
+		l.jr.RecordIn(sp, "wal", "reclaim", "full", uint64(through), l.head-l.tail, "")
 		if cb == nil || through == 0 {
 			// No reclaimer or nothing reclaimable: drop the oldest
 			// quarter accounting anyway (records there must already
@@ -266,10 +279,8 @@ func (l *Log) Append(ups []Update) (int64, error) {
 	}
 	l.nextSeq = seq
 	l.appends.Inc()
-	// Append runs on the operation's own goroutine, so the caller's
-	// principal binding is in scope to charge the log bytes.
-	l.acct.WAL(obs.CurrentPrincipal(), need)
-	l.jr.Record("wal", "append", "ok", uint64(seq), need, "")
+	l.acct.WAL(sp.Who(), need)
+	l.jr.RecordIn(sp, "wal", "append", "ok", uint64(seq), need, "")
 	l.pending = append(l.pending, recSpan{seq: seq, start: l.head, end: l.head + need})
 	l.buf = append(l.buf, rec...)
 	l.head += need
@@ -345,19 +356,19 @@ func (l *Log) Release(throughSeq int64) {
 	l.mu.Unlock()
 }
 
-// Flush writes all buffered records to the region (group commit) and
-// returns once every record appended before the call is durable
-// there. Concurrent callers merge: while one write is in flight,
-// later callers wait for it and piggyback if it covered their bytes,
-// so N concurrent Flushes cost far fewer than N region writes.
-func (l *Log) Flush() error {
+// Flush is FlushIn outside any operation.
+func (l *Log) Flush() error { return l.FlushIn(nil) }
+
+// FlushIn writes all buffered records to the region (group commit) on
+// behalf of sp's operation and returns once every record appended
+// before the call is durable there. Concurrent callers merge: while
+// one write is in flight, later callers wait for it and piggyback if
+// it covered their bytes, so N concurrent Flushes cost far fewer than
+// N region writes.
+func (l *Log) FlushIn(sp *obs.Span) error {
 	l.mu.Lock()
 	target := l.head
 	l.mu.Unlock()
-	return l.flushTo(target)
-}
-
-func (l *Log) flushTo(target int64) error {
 	for {
 		l.mu.Lock()
 		if l.durable >= target {
@@ -368,7 +379,7 @@ func (l *Log) flushTo(target int64) error {
 			// Piggyback: wait for the in-flight write, then re-check.
 			ch := l.flushDone
 			l.groupMerges.Inc()
-			l.jr.Record("wal", "groupcommit", "merge", 0, target-l.durable, "")
+			l.jr.RecordIn(sp, "wal", "groupcommit", "merge", 0, target-l.durable, "")
 			now := l.now
 			l.mu.Unlock()
 			var gstart int64
@@ -397,20 +408,20 @@ func (l *Log) flushTo(target int64) error {
 		now, tr := l.now, l.tr
 		l.mu.Unlock()
 
-		sp := tr.Child("wal", "flush")
+		fsp := tr.Child(sp, "wal", "flush")
 		var fstart int64
 		if now != nil {
 			fstart = now()
 		}
-		err := l.writeStream(buf, start, pend)
-		sp.Done()
+		err := l.writeStream(fsp, buf, start, pend)
+		fsp.Done()
 		if now != nil {
 			l.flushLat.Record(now() - fstart)
 		}
 		if err != nil {
-			l.jr.Record("wal", "flush", "fail", uint64(start), int64(len(buf)), err.Error())
+			l.jr.RecordIn(sp, "wal", "flush", "fail", uint64(start), int64(len(buf)), err.Error())
 		} else {
-			l.jr.Record("wal", "flush", "ok", uint64(start), int64(len(buf)), "")
+			l.jr.RecordIn(sp, "wal", "flush", "ok", uint64(start), int64(len(buf)), "")
 		}
 
 		l.mu.Lock()
@@ -443,7 +454,12 @@ func (l *Log) flushTo(target int64) error {
 // Affected log blocks are assembled in memory — LSN, anchor, payload —
 // and written with one WriteAt per physically contiguous run (at most
 // two when the circular log wraps) instead of per-block I/O.
-func (l *Log) writeStream(buf []byte, start int64, pend []recSpan) error {
+func (l *Log) writeStream(sp *obs.Span, buf []byte, start int64, pend []recSpan) error {
+	read, write := l.region.ReadAt, l.region.WriteAt
+	if tr, ok := l.region.(TracedRegion); ok {
+		read = func(p []byte, off int64) error { return tr.ReadAtIn(sp, p, off) }
+		write = func(p []byte, off int64) error { return tr.WriteAtIn(sp, p, off) }
+	}
 	firstBlk := start / payloadPerBlock
 	lastBlk := (start + int64(len(buf)) - 1) / payloadPerBlock
 	nBlks := lastBlk - firstBlk + 1
@@ -460,7 +476,7 @@ func (l *Log) writeStream(buf []byte, start int64, pend []recSpan) error {
 	// Preserve the prior payload of a leading partial block.
 	if start%payloadPerBlock != 0 {
 		off := firstBlk % l.blocks * BlockSize
-		if err := l.region.ReadAt(big[blockHdr:BlockSize], off+blockHdr); err != nil {
+		if err := read(big[blockHdr:BlockSize], off+blockHdr); err != nil {
 			return err
 		}
 	}
@@ -478,7 +494,7 @@ func (l *Log) writeStream(buf []byte, start int64, pend []recSpan) error {
 	for idx := int64(0); idx < nBlks; {
 		phys := (firstBlk + idx) % l.blocks
 		runLen := min64(nBlks-idx, l.blocks-phys)
-		if err := l.region.WriteAt(big[idx*BlockSize:(idx+runLen)*BlockSize], phys*BlockSize); err != nil {
+		if err := write(big[idx*BlockSize:(idx+runLen)*BlockSize], phys*BlockSize); err != nil {
 			return err
 		}
 		written += runLen * BlockSize

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,11 +156,13 @@ func TestCircularWrapAndReclaim(t *testing.T) {
 	const size = 8 << 10 // small log: 16 blocks
 	region := newMemRegion(size)
 	l := New(region, size)
-	released := int64(0)
+	// The callback runs on the appender and on the paced background
+	// reclaim goroutine, so the flag is atomic.
+	var released atomic.Int64
 	l.SetReclaim(func(through int64) {
 		_ = l.Flush()
 		l.Release(through)
-		released = through
+		released.Store(through)
 	})
 	// Append far more than capacity; reclaim must be driven.
 	data := bytes.Repeat([]byte{0xEE}, 100)
@@ -171,7 +174,7 @@ func TestCircularWrapAndReclaim(t *testing.T) {
 		}
 		lastSeq = seq
 	}
-	if released == 0 {
+	if released.Load() == 0 {
 		t.Fatal("reclaim callback never ran")
 	}
 	if err := l.Flush(); err != nil {
