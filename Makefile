@@ -2,11 +2,15 @@ GO ?= go
 
 .PHONY: check vet build test race bench bench-smoke bench-codec
 
-## check: the tier-1 gate — vet, build, and race-enabled tests.
+## check: the tier-1 gate — vet (with a gofmt check), build, and
+## race-enabled tests.
 check: vet build race
 
+## vet: go vet, then fail if gofmt would change any file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -209,11 +209,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	pcfg.NVRAM = cfg.NVRAM
 	pcfg.HeartbeatEvery = cfg.HeartbeatEvery
 	pcfg.SuspectAfter = cfg.SuspectAfter
-	if cfg.GuardWrites {
-		pcfg.WriteGuard = func(req petal.WriteReq, now int64) bool {
-			return req.ExpireAt == 0 || req.ExpireAt > now
-		}
-	}
+	pcfg.GuardWrites = cfg.GuardWrites
 	pcfg.NoReplicate = cfg.NoReplicate
 	for i := 0; i < cfg.PetalServers; i++ {
 		c.petalNames = append(c.petalNames, fmt.Sprintf("petal%d", i))

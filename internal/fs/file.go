@@ -271,6 +271,12 @@ func (f *File) readAt(sp *obs.Span, p []byte, off int64) (int, error) {
 
 	fs.raMu.Lock()
 	sequential := fs.raNext[f.inum] == off && off > 0
+	if !sequential {
+		// A new pass (a re-read, or a reused inum) starts a new
+		// read-ahead window; the old high-water mark would hold the
+		// next prefetch past the end of the file.
+		delete(fs.raHigh, f.inum)
+	}
 	ra := fs.raPages
 	fs.raMu.Unlock()
 
@@ -425,36 +431,54 @@ func (fs *FS) maybePrefetch(inum int64, in Inode, readPos int64, pages int) {
 		// data "must be discarded, and the work to read it turns out to
 		// have been wasted" (§9.4). The lock is only touched briefly at
 		// insert time to guarantee no stale page ever enters the cache.
+		//
+		// The pages are claimed in readDataRun's single-flight table,
+		// so a foreground read that reaches them waits for this fetch
+		// instead of reading them a second time.
 		var exts []petal.ReadExtent
 		total := 0
+		missing := func(pageAddr int64) bool { // under fetchMu
+			_, cached := fs.data.Lookup(pageAddr)
+			_, busy := fs.inflight[pageAddr]
+			return !cached && !busy
+		}
+		ch := make(chan struct{})
+		fs.fetchMu.Lock()
 		for off := from; off < end; {
 			pageAddr, _, ok := fs.filePageAddr(in, off)
-			if !ok {
-				off += BlockSize
-				continue
-			}
-			if _, cached := fs.data.Lookup(pageAddr); cached {
+			if !ok || !missing(pageAddr) {
 				off += BlockSize
 				continue
 			}
 			run := int64(1)
 			for off+run*BlockSize < end {
 				a2, _, ok2 := fs.filePageAddr(in, off+run*BlockSize)
-				if !ok2 || a2 != pageAddr+run*BlockSize {
-					break
-				}
-				if _, hit := fs.data.Lookup(a2); hit {
+				if !ok2 || a2 != pageAddr+run*BlockSize || !missing(a2) {
 					break
 				}
 				run++
+			}
+			for i := int64(0); i < run; i++ {
+				fs.inflight[pageAddr+i*BlockSize] = ch
 			}
 			exts = append(exts, petal.ReadExtent{Off: pageAddr, Dst: make([]byte, run*BlockSize)})
 			total += int(run * BlockSize)
 			off += run * BlockSize
 		}
+		fs.fetchMu.Unlock()
 		if len(exts) == 0 {
 			return
 		}
+		defer func() {
+			fs.fetchMu.Lock()
+			for _, e := range exts {
+				for pa := e.Off; pa < e.Off+int64(len(e.Dst)); pa += BlockSize {
+					delete(fs.inflight, pa)
+				}
+			}
+			fs.fetchMu.Unlock()
+			close(ch)
+		}()
 		if err := fs.pc.ReadV(fs.vd, exts); err != nil {
 			return
 		}

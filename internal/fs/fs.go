@@ -198,11 +198,11 @@ type FS struct {
 	stickySeg map[allocClass]int64 // last segment that allocated; -1/absent = none
 	segResume map[segKey]int64     // next bit segScan resumes from
 	segFull   map[segKey]bool      // segments known full for a class
-	appended int64 // highest log seq appended
-	flushed  int64 // log seq known flushed
-	poisoned bool
-	closed   bool
-	logSlot  int
+	appended  int64                // highest log seq appended
+	flushed   int64                // log seq known flushed
+	poisoned  bool
+	closed    bool
+	logSlot   int
 
 	raMu    sync.Mutex
 	raNext  map[int64]int64 // inum -> expected next sequential offset
@@ -282,26 +282,26 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 		return nil, err
 	}
 	fs := &FS{
-		w:        w,
-		machine:  machine,
-		pc:       pc,
-		vd:       vd,
-		lay:      lay,
-		cfg:      cfg,
-		cpu:      w.CPU(machine),
-		meta:     cache.NewPool(SectorSize, cfg.MetaCacheCap),
-		data:     cache.NewPool(BlockSize, cfg.DataCacheCap),
+		w:         w,
+		machine:   machine,
+		pc:        pc,
+		vd:        vd,
+		lay:       lay,
+		cfg:       cfg,
+		cpu:       w.CPU(machine),
+		meta:      cache.NewPool(SectorSize, cfg.MetaCacheCap),
+		data:      cache.NewPool(BlockSize, cfg.DataCacheCap),
 		owned:     make(map[allocClass][]int64),
 		probeOff:  make(map[allocClass]int64),
 		stickySeg: make(map[allocClass]int64),
 		segResume: make(map[segKey]int64),
 		segFull:   make(map[segKey]bool),
-		raNext:   make(map[int64]int64),
-		raHigh:   make(map[int64]int64),
-		raBusy:   make(map[int64]int),
-		atimes:   make(map[int64]int64),
-		inflight: make(map[int64]chan struct{}),
-		raPages:  cfg.ReadAhead,
+		raNext:    make(map[int64]int64),
+		raHigh:    make(map[int64]int64),
+		raBusy:    make(map[int64]int),
+		atimes:    make(map[int64]int64),
+		inflight:  make(map[int64]chan struct{}),
+		raPages:   cfg.ReadAhead,
 	}
 	fs.m = newFSMetrics(w.Obs, machine)
 	if w.Obs != nil {
@@ -623,12 +623,12 @@ func (fs *FS) readMeta(sp *obs.Span, addr int64, owner uint64) (*cache.Entry, er
 	defer csp.Done()
 	// Pooled scratch: Insert copies into the cache's own page, so the
 	// fill buffer recycles immediately.
-		bufp := bufpool.Get(SectorSize)
-		defer bufpool.Put(bufp)
-		buf := *bufp
+	bufp := bufpool.Get(SectorSize)
+	defer bufpool.Put(bufp)
+	buf := *bufp
 	if err := fs.pc.Read(csp, fs.vd, addr, buf); err != nil {
 		return nil, err
-		}
+	}
 	return fs.meta.Insert(addr, buf, owner), nil
 }
 
@@ -658,12 +658,12 @@ func (fs *FS) readMetaBatch(sp *obs.Span, fills []metaFill) error {
 	fs.acct.CacheMiss(sp.Who(), int64(len(miss)))
 	csp := fs.tr.Child(sp, "cache", "fillv")
 	defer csp.Done()
-		bufsp := bufpool.Get(len(miss) * SectorSize)
-		defer bufpool.Put(bufsp)
-		bufs := *bufsp
-		exts := make([]petal.ReadExtent, len(miss))
-		for i := range miss {
-			exts[i] = petal.ReadExtent{Off: miss[i].addr, Dst: bufs[i*SectorSize : (i+1)*SectorSize]}
+	bufsp := bufpool.Get(len(miss) * SectorSize)
+	defer bufpool.Put(bufsp)
+	bufs := *bufsp
+	exts := make([]petal.ReadExtent, len(miss))
+	for i := range miss {
+		exts[i] = petal.ReadExtent{Off: miss[i].addr, Dst: bufs[i*SectorSize : (i+1)*SectorSize]}
 	}
 	if err := fs.pc.ReadVIn(csp, fs.vd, exts); err != nil {
 		return err
@@ -676,8 +676,8 @@ func (fs *FS) readMetaBatch(sp *obs.Span, fills []metaFill) error {
 		if _, hit := fs.meta.Lookup(f.addr); hit {
 			continue
 		}
-			fs.meta.Insert(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
-		}
+		fs.meta.Insert(f.addr, bufs[i*SectorSize:(i+1)*SectorSize], f.owner)
+	}
 	return nil
 }
 

@@ -107,6 +107,90 @@ func TestReadAheadWasteCounter(t *testing.T) {
 	}
 }
 
+// TestReadAheadRestartsOnReread: a second sequential pass over a file,
+// with no revoke between the passes, prefetches again: the first
+// pass's read-ahead high-water mark must not hold later prefetches
+// past the end of the file.
+func TestReadAheadRestartsOnReread(t *testing.T) {
+	tw := newTestWorld(t)
+	writer := tw.mount(t, "wsW", nil)
+	// A data cache far smaller than the file, so the second pass
+	// misses too.
+	reader := tw.mount(t, "wsR", func(c *Config) {
+		c.ReadAhead = 16
+		c.DataCacheCap = 64
+	})
+	const size = 1 << 20
+	writeFile(t, writer, "/seq", bytes.Repeat([]byte{7}, size))
+	if err := writer.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := reader.Open("/seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16<<10)
+	pass := func() int64 {
+		for off := int64(0); off < size; off += int64(len(buf)) {
+			if _, err := h.ReadAt(buf, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Let in-flight prefetches land.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			reader.raMu.Lock()
+			busy := reader.raBusy[h.Inum()]
+			reader.raMu.Unlock()
+			if busy == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("prefetches still in flight after 10s")
+			}
+		}
+		return reader.Stats().ReadAheadHits
+	}
+	first := pass()
+	if first == 0 {
+		t.Fatal("first sequential pass prefetched nothing")
+	}
+	if second := pass(); second <= first {
+		t.Fatalf("second pass added no read-ahead hits (%d after the first pass, %d after the second)", first, second)
+	}
+}
+
+// TestForegroundReadWaitsForPrefetch: a sequential reader that
+// catches up with an in-flight prefetch waits for it instead of
+// fetching the same pages again, so with a cache that holds the whole
+// file every byte is read from Petal once.
+func TestForegroundReadWaitsForPrefetch(t *testing.T) {
+	tw := newTestWorld(t)
+	writer := tw.mount(t, "wsW", nil)
+	reader := tw.mount(t, "wsR", func(c *Config) { c.ReadAhead = 16 })
+	const size = 1 << 20
+	writeFile(t, writer, "/seq", bytes.Repeat([]byte{3}, size))
+	if err := writer.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := reader.Open("/seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16<<10)
+	for off := int64(0); off < size; off += int64(len(buf)) {
+		if _, err := h.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := reader.Stats()
+	if st.ReadAheadHits == 0 {
+		t.Fatal("no prefetch landed; the test checks nothing")
+	}
+	if st.BytesRead > size {
+		t.Fatalf("read %d bytes from Petal for a %d-byte file: pages were fetched twice", st.BytesRead, size)
+	}
+}
+
 // TestSetReadAheadToggle verifies runtime toggling (Figure 8's knob).
 func TestSetReadAheadToggle(t *testing.T) {
 	tw := newTestWorld(t)

@@ -116,7 +116,7 @@ type Server struct {
 	// ackCast is the last time a piggyback RenewAck was cast to each
 	// clerk; acks are rate-limited so a clerk streaming batches gets
 	// O(1) ack traffic per lease window, not one ack per batch.
-	ackCast map[string]sim.Time
+	ackCast    map[string]sim.Time
 	recoveries map[string]*recoveryJob // session key -> job
 	nextSeq    uint64
 	crashed    bool

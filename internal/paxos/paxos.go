@@ -46,6 +46,9 @@ type Applier func(seq int64, cmd Command)
 // driven to a decision before the deadline (e.g. no quorum reachable).
 var ErrNotDecided = errors.New("paxos: command not decided (no quorum?)")
 
+// ErrClosed is returned by Submit once the node has been closed.
+var ErrClosed = errors.New("paxos: node closed")
+
 // entry wraps a command with a cluster-unique id so Submit can detect
 // that its own command (not a competitor's) was applied.
 type entry struct {
@@ -127,6 +130,7 @@ type Node struct {
 	idx       int // our index in peers, for unique ballots
 	crashed   bool
 	closed    bool
+	stop      chan struct{} // closed by Close; ends Submit's retry loop
 }
 
 // Wire-type registration so paxos runs over TCP carriers.
@@ -152,6 +156,7 @@ func NewNode(id string, peers []string, carrier rpc.Carrier, clock *sim.Clock, a
 		apply:     apply,
 		instances: make(map[int64]*instance),
 		appliedID: make(map[string]bool),
+		stop:      make(chan struct{}),
 	}
 	n.cond = sync.NewCond(&n.mu)
 	for i, p := range peers {
@@ -189,6 +194,9 @@ func (n *Node) Recover() {
 // Close shuts the node down permanently.
 func (n *Node) Close() {
 	n.mu.Lock()
+	if !n.closed {
+		close(n.stop)
+	}
 	n.closed = true
 	n.crashed = true
 	n.mu.Unlock()
@@ -345,7 +353,7 @@ func (n *Node) fillGap(seq int64) {
 }
 
 // Submit proposes cmd and blocks until it has been applied on this
-// node or the deadline (simulated) passes.
+// node, the deadline (simulated) passes, or the node is closed.
 func (n *Node) Submit(cmd Command, deadline time.Duration) error {
 	n.mu.Lock()
 	n.ballotGen++
@@ -394,19 +402,22 @@ func (n *Node) Submit(cmd Command, deadline time.Duration) error {
 
 		n.proposeAt(seq, e)
 
+		// Randomized exponential backoff so duelling proposers
+		// desynchronize; the global-state command rate is tiny, so
+		// latency here is uncritical. A closed node proposes nothing,
+		// so its Submit returns instead of retrying to the deadline.
+		max := 20 << min(attempt, 5)
 		select {
 		case <-done:
 			return nil
 		case <-timeout:
 			cancel()
 			return ErrNotDecided
-		default:
+		case <-n.stop:
+			cancel()
+			return ErrClosed
+		case <-n.clock.After(time.Duration(5+rand.Intn(max)) * time.Millisecond):
 		}
-		// Randomized exponential backoff so duelling proposers
-		// desynchronize; the global-state command rate is tiny, so
-		// latency here is uncritical.
-		max := 20 << min(attempt, 5)
-		n.clock.Sleep(time.Duration(5+rand.Intn(max)) * time.Millisecond)
 	}
 }
 

@@ -3,6 +3,7 @@ package paxos
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -176,6 +177,35 @@ func TestNoQuorumBlocks(t *testing.T) {
 	c.nodes[2].Recover()
 	if err := c.nodes[0].Submit("revived", 240*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseEndsSubmit: a Submit that cannot reach quorum returns
+// ErrClosed promptly once its node is closed, well before its
+// deadline, and leaves no goroutine behind.
+func TestCloseEndsSubmit(t *testing.T) {
+	c := newCluster(t, 3)
+	base := runtime.NumGoroutine()
+	c.nodes[1].Crash()
+	c.nodes[2].Crash()
+	errc := make(chan error, 1)
+	go func() { errc <- c.nodes[0].Submit("orphan", time.Hour) }()
+	time.Sleep(20 * time.Millisecond) // let it start retrying
+	c.nodes[0].Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("submit on a closed node: err = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit still blocked 5s after Close")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Close, %d before Submit", n, base)
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 
 // Client is the Petal device driver: it "hides the distributed nature
 // of Petal, making Petal look like an ordinary local disk to higher
-// layers" (§2.1). It routes chunk operations to replicas, fails over
-// when a server is down, and refreshes its view of the global state
-// when routing goes stale.
+// layers" (§2.1). Every read and write is split into chunk spans and
+// sent as scatter-gather batches, one per replica server; the driver
+// fails over when a server is down, and refreshes its view of the
+// global state when routing goes stale.
 type Client struct {
 	name    string
 	ep      *rpc.Endpoint
@@ -40,9 +41,9 @@ type Client struct {
 	// from expired leases (§6's hazard fix).
 	leaseInfo func() (expireAt int64, leaseID uint64)
 
-	// opDeadline bounds one logical chunk operation including retries.
+	// opDeadline bounds one read or write including retries.
 	opDeadline sim.Duration
-	// parallelism bounds concurrent chunk transfers for large I/Os.
+	// parallelism bounds concurrent batch transfers for large I/Os.
 	parallelism int
 
 	// balanceReads spreads first-choice read routing across both alive
@@ -56,15 +57,15 @@ type Client struct {
 	// randIntn supplies deterministic jitter for retry backoff.
 	randIntn func(int) int
 
-	// Data-path statistics (benchmarks compare the scatter-gather
-	// paths against per-chunk RPCs by count, and read balancing by the
+	// Data-path statistics (benchmarks judge batching by extents per
+	// RPC, resilience by resends, and read balancing by the
 	// primary/backup split).
-	writeRPCs     *obs.Counter // WriteReq calls issued
-	writeVRPCs    *obs.Counter // WriteVReq calls issued
-	writeVExtents *obs.Counter // extents carried by WriteVReq calls
-	readRPCs      *obs.Counter // ReadReq calls issued
-	readVRPCs     *obs.Counter // ReadVReq calls issued
-	readVExtents  *obs.Counter // extents carried by ReadVReq calls
+	writeRPCs     *obs.Counter // write batches resent (failover or retry)
+	writeVRPCs    *obs.Counter // first-attempt write batches
+	writeVExtents *obs.Counter // extents carried by first-attempt write batches
+	readRPCs      *obs.Counter // read batches resent (failover or retry)
+	readVRPCs     *obs.Counter // first-attempt read batches
+	readVExtents  *obs.Counter // extents carried by first-attempt read batches
 	readPrimary   *obs.Counter // first-choice read routings to the primary
 	readBackup    *obs.Counter // first-choice read routings to the backup
 	balancePct    *obs.Gauge   // percent of first-choice reads sent to the backup
@@ -89,21 +90,24 @@ type Client struct {
 	jr     *obs.Journal              // flight recorder (nil-safe)
 }
 
-// ClientStats counts data-path RPC traffic.
+// ClientStats counts data-path RPC traffic. Every read and write
+// travels as ReadVReq/WriteVReq batches; the V fields count each
+// operation's first attempt, and ReadRPCs/WriteRPCs count the batches
+// resent after it, so the two together are every round trip.
 type ClientStats struct {
-	// WriteRPCs is the number of single-extent WriteReq calls issued
-	// (including retries and fallbacks).
+	// WriteRPCs is the number of write batches resent to the other
+	// replica or after a retry pause.
 	WriteRPCs int64
-	// WriteVRPCs is the number of scatter-gather WriteVReq calls.
+	// WriteVRPCs is the number of first-attempt write batches.
 	WriteVRPCs int64
-	// WriteVExtents is the total extents carried by those calls.
+	// WriteVExtents is the total chunk extents those batches carried.
 	WriteVExtents int64
-	// ReadRPCs is the number of single-extent ReadReq calls issued
-	// (including retries and per-extent failovers).
+	// ReadRPCs is the number of read batches resent to the other
+	// replica (per-extent failover) or after a retry pause.
 	ReadRPCs int64
-	// ReadVRPCs is the number of scatter-gather ReadVReq calls.
+	// ReadVRPCs is the number of first-attempt read batches.
 	ReadVRPCs int64
-	// ReadVExtents is the total extents carried by those calls.
+	// ReadVExtents is the total chunk extents those batches carried.
 	ReadVExtents int64
 	// ReadPrimary/ReadBackup split first-choice read routing decisions
 	// between the two replicas of each chunk.
@@ -126,7 +130,7 @@ func (c *Client) Stats() ClientStats {
 }
 
 // ReadRPCTotal is the total Petal read round trips this client has
-// issued, counting a scatter-gather batch as one RPC.
+// issued, first attempts and resends, counting a batch as one RPC.
 func (s ClientStats) ReadRPCTotal() int64 { return s.ReadRPCs + s.ReadVRPCs }
 
 // ClientAddr returns the network name of a machine's Petal driver.
@@ -142,18 +146,18 @@ func NewClient(w *sim.World, machine string, servers []string) *Client {
 // carrier (TCP for daemon deployments, sim for tests).
 func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrier rpc.Carrier) *Client {
 	c := &Client{
-		name:          machine,
-		clock:         w.Clock,
-		servers:       append([]string(nil), servers...),
-		opDeadline:    30 * time.Second,
-		parallelism:   8,
-		randIntn:      w.RandIntn,
-		writeRPCs:     obs.NewCounter(),
-		writeVRPCs:    obs.NewCounter(),
-		writeVExtents: obs.NewCounter(),
-		readRPCs:      obs.NewCounter(),
-		readVRPCs:     obs.NewCounter(),
-		readVExtents:  obs.NewCounter(),
+		name:           machine,
+		clock:          w.Clock,
+		servers:        append([]string(nil), servers...),
+		opDeadline:     30 * time.Second,
+		parallelism:    8,
+		randIntn:       w.RandIntn,
+		writeRPCs:      obs.NewCounter(),
+		writeVRPCs:     obs.NewCounter(),
+		writeVExtents:  obs.NewCounter(),
+		readRPCs:       obs.NewCounter(),
+		readVRPCs:      obs.NewCounter(),
+		readVExtents:   obs.NewCounter(),
 		readPrimary:    obs.NewCounter(),
 		readBackup:     obs.NewCounter(),
 		balancePct:     obs.NewGauge(),
@@ -165,10 +169,10 @@ func NewClientWithCarrier(w *sim.World, machine string, servers []string, carrie
 	}
 	c.balanceReads.Store(1)
 	if reg := w.Obs; reg != nil {
-		c.writeRPCs = reg.Counter("petal.write.rpcs#" + machine)
+		c.writeRPCs = reg.Counter("petal.write.retries#" + machine)
 		c.writeVRPCs = reg.Counter("petal.writev.rpcs#" + machine)
 		c.writeVExtents = reg.Counter("petal.writev.extents#" + machine)
-		c.readRPCs = reg.Counter("petal.read.rpcs#" + machine)
+		c.readRPCs = reg.Counter("petal.read.retries#" + machine)
 		c.readVRPCs = reg.Counter("petal.readv.rpcs#" + machine)
 		c.readVExtents = reg.Counter("petal.readv.extents#" + machine)
 		c.readPrimary = reg.Counter("petal.read.primary#" + machine)
@@ -211,7 +215,7 @@ func (c *Client) instr(parent *obs.Span, op string, fn func(sp *obs.Span) error)
 	start := c.now()
 	sp := c.tr.Child(parent, "petal", op)
 	err := fn(sp)
-		sp.Done()
+	sp.Done()
 	c.opLats[op].Record(c.now() - start)
 	return err
 }
@@ -520,148 +524,6 @@ func (c *Client) call(sp *obs.Span, srv string, req any, timeout sim.Duration) (
 	return resp, err
 }
 
-// readChunk performs one intra-chunk read with failover and state
-// refresh until the op deadline.
-func (c *Client) readChunk(sp *obs.Span, v VDiskID, chunk int64, off, length int, dst []byte) error {
-	deadline := c.clock.Now() + sim.Time(c.opDeadline)
-	var lastErr error
-	var tl targetList
-	routedVer := int64(-1)
-	for attempt := 0; ; attempt++ {
-		st, err := c.getState()
-		if err == nil {
-			routedVer = st.Version
-			c.readTargets(&st, v, chunk, &tl)
-			for _, srv := range tl.list() {
-				c.readRPCs.Add(1)
-				resp, err := c.call(sp, srv, ReadReq{VDisk: v, Chunk: chunk, Off: off, Len: length}, dataTimeout)
-				if err != nil {
-					lastErr = err
-					c.jr.RecordIn(sp, "petal", "read", "failover", uint64(chunk), 0, srv)
-					continue
-				}
-				rr, ok := resp.(ReadResp)
-				if !ok {
-					continue
-				}
-				if !rr.OK {
-					rpc.Release(rr)
-					if rr.Err == ErrNoSuchVDisk.Error() {
-						// Possibly stale directory: refresh and retry.
-						break
-					}
-					// Replica-local failure (e.g. a CRC error): fall
-					// over to the other replica, which "can ordinarily
-					// recover it" (§4).
-					lastErr = fmt.Errorf("petal read: %s", rr.Err)
-					c.jr.RecordIn(sp, "petal", "read", "replica-fail", uint64(chunk), 0, srv)
-					continue
-				}
-				// A short (or nil, for a hole) response must not leave
-				// stale bytes in the tail of dst.
-				n := copy(dst, rr.Data)
-				clear(dst[n:])
-				// On TCP the data aliases a pooled receive buffer;
-				// recycle it now that it has been copied out.
-				rpc.Release(rr)
-				return nil
-			}
-		}
-		if c.clock.Now() >= deadline {
-			if lastErr != nil {
-				return lastErr
-			}
-			return ErrUnavailable
-		}
-		// Version-aware: if another caller already refreshed past the
-		// view we routed with, the retry reuses it without touching
-		// the network (petal.refresh.skipped counts these).
-		_ = c.refreshSince(routedVer)
-		c.retryPause(sp, attempt, deadline)
-	}
-}
-
-// writeChunk performs one intra-chunk write with failover.
-func (c *Client) writeChunk(sp *obs.Span, v VDiskID, chunk int64, off int, data []byte) error {
-	// The in-memory transport passes payloads by reference and the
-	// caller may keep mutating its buffer (e.g. a cache page) after we
-	// return; snapshot the bytes here, where a real driver would DMA.
-	// The snapshot comes from the shared size-classed pool, so the
-	// write path recycles a small working set of chunk buffers.
-	bufp := bufpool.Get(len(data))
-	snap := *bufp
-	copy(snap, data)
-	leaked := false
-	err := c.writeChunkSnap(sp, v, chunk, off, snap, &leaked)
-	if !leaked {
-		// No call attempt timed out, so no in-flight message can still
-		// reference the snapshot; safe to recycle.
-		bufpool.Put(bufp)
-	}
-	return err
-}
-
-func (c *Client) writeChunkSnap(sp *obs.Span, v VDiskID, chunk int64, off int, snap []byte, leaked *bool) error {
-	c.mu.Lock()
-	li := c.leaseInfo
-	c.mu.Unlock()
-	req := WriteReq{VDisk: v, Chunk: chunk, Off: off, Data: snap}
-	if li != nil {
-		req.ExpireAt, req.LeaseID = li()
-	}
-	deadline := c.clock.Now() + sim.Time(c.opDeadline)
-	var tl targetList
-	routedVer := int64(-1)
-	for attempt := 0; ; attempt++ {
-		st, err := c.getState()
-		if err == nil {
-			routedVer = st.Version
-			// Stamp the epoch we are writing at so replicas lagging a
-			// snapshot wait for Paxos catch-up instead of writing into
-			// the frozen epoch.
-			if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
-				req.Epoch = meta.Epoch
-			} else {
-				req.Epoch = 0
-			}
-			c.targets(&st, v, chunk, &tl)
-			for _, srv := range tl.list() {
-				c.writeRPCs.Add(1)
-				resp, err := c.call(sp, srv, req, dataTimeout)
-				if err != nil {
-					// The message may still be queued at the carrier and
-					// delivered later; the snapshot cannot be recycled.
-					*leaked = true
-					c.jr.RecordIn(sp, "petal", "write", "failover", uint64(chunk), 0, srv)
-					continue
-				}
-				wr, ok := resp.(WriteResp)
-				if !ok {
-					continue
-				}
-				if wr.OK {
-					return nil
-				}
-				switch wr.Err {
-				case ErrNoSuchVDisk.Error(), ErrStaleEpoch.Error():
-					// stale directory or epoch; refresh below
-				case ErrLeaseExpired.Error():
-					c.jr.RecordIn(sp, "petal", "write", "lease-rejected", uint64(chunk), 0, srv)
-					return ErrLeaseExpired
-				default:
-					return fmt.Errorf("petal write: %s", wr.Err)
-				}
-				break
-			}
-		}
-		if c.clock.Now() >= deadline {
-			return ErrUnavailable
-		}
-		_ = c.refreshSince(routedVer)
-		c.retryPause(sp, attempt, deadline)
-	}
-}
-
 // span describes one chunk-aligned piece of a larger I/O.
 type span struct {
 	chunk  int64
@@ -689,7 +551,7 @@ func spans(off int64, length int) []span {
 }
 
 // boundedPar runs f over items with at most limit in flight,
-// returning the first error.
+// returning the first error. A single item runs inline.
 func boundedPar[T any](limit int, items []T, f func(T) error) error {
 	if len(items) == 1 {
 		return f(items[0])
@@ -719,34 +581,183 @@ func boundedPar[T any](limit int, items []T, f func(T) error) error {
 	return nil
 }
 
-// forEachSpan runs f over the spans with bounded parallelism,
-// returning the first error.
-func (c *Client) forEachSpan(ss []span, f func(span) error) error {
-	return boundedPar(c.parallelism, ss, f)
+// ioSpan is one chunk-local piece of a read or write on its way
+// through the retry loop. buf is the read destination or the write
+// payload.
+type ioSpan struct {
+	chunk int64
+	off   int
+	buf   []byte
+	// srv is the replica the current attempt goes to; alt is the
+	// other copy, the failover target ("" when there is none).
+	srv, alt string
+	// err is the outcome of the last attempt, nil once served.
+	err error
+}
+
+// appendSpans splits b, which lives at byte offset off of the vdisk,
+// at chunk boundaries and appends the pieces to dst.
+func appendSpans(dst []ioSpan, off int64, b []byte) []ioSpan {
+	for _, s := range spans(off, len(b)) {
+		dst = append(dst, ioSpan{chunk: s.chunk, off: s.off, buf: b[s.bufOff : s.bufOff+s.length]})
+	}
+	return dst
+}
+
+// Per-request caps for one batch, reads and writes alike: bound the
+// simulated transfer time of one RPC (network ~17 MB/s, disks
+// ~6 MB/s) well under its timeout, and keep message sizes sane.
+const (
+	batchMaxBytes   = 1 << 20
+	batchMaxExtents = 256
+	batchTimeout    = 15 * time.Second
+)
+
+// replicaError marks a failure local to one replica — an unreachable
+// server, an unexpected reply or a damaged extent — that the other
+// copy can ordinarily recover (§4).
+type replicaError struct{ error }
+
+// serverError maps a batch-level error string from a server back to
+// its sentinel, so the retry loop can tell stale routing from a
+// rejection.
+func serverError(op, msg string) error {
+	switch msg {
+	case ErrNoSuchVDisk.Error():
+		return ErrNoSuchVDisk
+	case ErrStaleEpoch.Error():
+		return ErrStaleEpoch
+	case ErrLeaseExpired.Error():
+		return ErrLeaseExpired
+	}
+	return fmt.Errorf("petal %s: %s", op, msg)
+}
+
+// setErr sets the outcome of every span of a batch.
+func setErr(b []*ioSpan, err error) {
+	for _, s := range b {
+		s.err = err
+	}
+}
+
+// A sender issues one batch of spans, all routed to srv, and sets
+// each span's err. first marks an operation's first attempt; the
+// stats count resends apart.
+type sender func(st *GlobalState, srv string, b []*ioSpan, first bool)
+
+// transfer is the retry loop every read and write runs through. A
+// round routes the pending spans with the current view of the global
+// state (route orders each chunk's replicas), sends them in
+// per-server batches, and sends every span that failed there to its
+// other replica. Spans that still failed, or met stale routing (an
+// unknown vdisk or a pre-snapshot epoch), wait out a version-aware
+// state refresh and a backoff pause, until the op deadline. A lease
+// rejection or any other server error ends the operation at once.
+func (c *Client) transfer(sp *obs.Span, v VDiskID, todo []ioSpan,
+	route func(*GlobalState, VDiskID, int64, *targetList), send sender) error {
+	if len(todo) == 0 {
+		return nil
+	}
+	pend := make([]*ioSpan, len(todo))
+	for i := range todo {
+		pend[i] = &todo[i]
+	}
+	deadline := c.clock.Now() + sim.Time(c.opDeadline)
+	var lastErr error
+	var tl targetList
+	first := true
+	routedVer := int64(-1)
+	for attempt := 0; ; attempt++ {
+		if st, err := c.getState(); err == nil {
+			routedVer = st.Version
+			for _, s := range pend {
+				route(&st, v, s.chunk, &tl)
+				if tl.n == 0 {
+					return ErrUnavailable
+				}
+				s.srv, s.alt = tl.srv[0], ""
+				if tl.n > 1 {
+					s.alt = tl.srv[1]
+				}
+			}
+			var wait []*ioSpan
+			for pass := 0; len(pend) > 0; pass++ {
+				c.sendAll(&st, pend, first, send)
+				first = false
+				var over []*ioSpan
+				for _, s := range pend {
+					switch err := s.err.(type) {
+					case nil:
+					case replicaError:
+						lastErr = err.error
+						if pass == 0 && s.alt != "" {
+							s.srv = s.alt
+							over = append(over, s)
+						} else {
+							wait = append(wait, s)
+						}
+					default:
+						if err != ErrNoSuchVDisk && err != ErrStaleEpoch {
+							return err
+						}
+						wait = append(wait, s)
+					}
+				}
+				pend = over
+			}
+			if len(wait) == 0 {
+				return nil
+			}
+			pend = wait
+		}
+		if c.clock.Now() >= deadline {
+			if lastErr != nil {
+				return lastErr
+			}
+			return ErrUnavailable
+		}
+		// Version-aware: if another caller already refreshed past the
+		// view we routed with, the retry reuses it without touching
+		// the network (petal.refresh.skipped counts these).
+		_ = c.refreshSince(routedVer)
+		c.retryPause(sp, attempt, deadline)
+	}
+}
+
+// sendAll groups spans by target server into batches under the
+// per-request caps and sends them with bounded parallelism.
+func (c *Client) sendAll(st *GlobalState, pend []*ioSpan, first bool, send sender) {
+	groups := make(map[string][]*ioSpan)
+	for _, s := range pend {
+		groups[s.srv] = append(groups[s.srv], s)
+	}
+	var batches [][]*ioSpan
+	for _, g := range groups {
+		start, bytes := 0, 0
+		for i, s := range g {
+			if i > start && (bytes+len(s.buf) > batchMaxBytes || i-start >= batchMaxExtents) {
+				batches = append(batches, g[start:i])
+				start, bytes = i, 0
+			}
+			bytes += len(s.buf)
+		}
+		batches = append(batches, g[start:])
+	}
+	// Outcomes come back through each span's err, not boundedPar's.
+	_ = boundedPar(c.parallelism, batches, func(b []*ioSpan) error {
+		send(st, b[0].srv, b, first)
+		return nil
+	})
 }
 
 // Read fills p from the virtual disk at byte offset off, on behalf of
 // sp's operation (nil for none). Uncommitted ranges read as zeros.
-// Reads spanning several chunks go through the scatter-gather engine,
-// so chunk spans that route to the same server collapse into one
-// ReadVReq.
 func (c *Client) Read(sp *obs.Span, v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
 	return c.instr(sp, "read", func(sp *obs.Span) error {
-		ss := spans(off, len(p))
-		if len(ss) <= 1 {
-			if len(ss) == 0 {
-				return nil
-			}
-			return c.readChunk(sp, v, ss[0].chunk, ss[0].off, ss[0].length, p[:ss[0].length])
-		}
-		all := make([]rspan, len(ss))
-		for i, s := range ss {
-			all[i] = rspan{chunk: s.chunk, off: s.off, dst: p[s.bufOff : s.bufOff+s.length]}
-		}
-		return c.readRspans(sp, v, all)
+		return c.read(sp, v, appendSpans(nil, off, p))
 	})
 }
 
@@ -757,153 +768,102 @@ type ReadExtent struct {
 	Dst []byte
 }
 
-// rspan is one chunk-local piece of a scatter-gather read.
-type rspan struct {
-	chunk int64
-	off   int
-	dst   []byte
-}
-
-// Per-request caps for batched reads, mirroring the write-path caps:
-// bound one RPC's simulated transfer time well under its timeout and
-// keep message sizes sane.
-const (
-	readVMaxBytes   = 1 << 20
-	readVMaxExtents = 256
-	readVTimeout    = 15 * time.Second
-)
-
 // ReadV is ReadVIn outside any operation.
 func (c *Client) ReadV(v VDiskID, extents []ReadExtent) error { return c.ReadVIn(nil, v, extents) }
 
-// ReadVIn fills every extent's Dst on behalf of sp's operation, batching the reads into as few
-// server round trips as possible: extents are split at chunk
-// boundaries, grouped by their balanced read target, and dispatched
-// with bounded parallelism. Extents a batch could not serve (replica
-// failure, stale routing) fall over individually through the
-// per-chunk read path, so ReadV is exactly as robust as issuing the
-// extents through Read, and a failed extent never leaves stale bytes
-// in its destination.
+// ReadVIn fills every extent's Dst on behalf of sp's operation. Like
+// Read it goes through transfer, so chunk spans that route to the
+// same server share one ReadVReq.
 func (c *Client) ReadVIn(sp *obs.Span, v VDiskID, extents []ReadExtent) error {
+	var todo []ioSpan
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
 		}
+		todo = appendSpans(todo, e.Off, e.Dst)
 	}
-	return c.instr(sp, "readv", func(sp *obs.Span) error {
-		var all []rspan
-		for _, e := range extents {
-			for _, s := range spans(e.Off, len(e.Dst)) {
-				all = append(all, rspan{chunk: s.chunk, off: s.off, dst: e.Dst[s.bufOff : s.bufOff+s.length]})
-			}
-		}
-		return c.readRspans(sp, v, all)
+	return c.instr(sp, "readv", func(sp *obs.Span) error { return c.read(sp, v, todo) })
+}
+
+// read runs chunk spans through the retry loop, each routed first to
+// its balanced read replica.
+func (c *Client) read(sp *obs.Span, v VDiskID, todo []ioSpan) error {
+	return c.transfer(sp, v, todo, c.readTargets, func(_ *GlobalState, srv string, b []*ioSpan, first bool) {
+		c.readBatch(sp, v, srv, b, first)
 	})
 }
 
-// readRspans is the scatter-gather read engine shared by Read and
-// ReadV.
-func (c *Client) readRspans(sp *obs.Span, v VDiskID, all []rspan) error {
-	if len(all) == 0 {
-		return nil
+// readBatch sends one ReadVReq and copies each served extent into its
+// destination. A short reply or a hole zero-fills the rest of the
+// destination; a failed extent leaves it to a later attempt.
+func (c *Client) readBatch(sp *obs.Span, v VDiskID, srv string, b []*ioSpan, first bool) {
+	exts := make([]ReadVExtent, len(b))
+	for i, s := range b {
+		exts[i] = ReadVExtent{Chunk: s.chunk, Off: s.off, Len: len(s.buf)}
 	}
-	if len(all) == 1 {
-		return c.readChunk(sp, v, all[0].chunk, all[0].off, len(all[0].dst), all[0].dst)
-	}
-	st, err := c.getState()
-	if err != nil {
-		// No routing state: the per-chunk path refreshes and retries.
-		return c.readFallback(sp, v, all)
-	}
-	// Group spans by their balanced read target, splitting oversized
-	// groups into size-capped batches.
-	groups := make(map[string][]rspan)
-	var tl targetList
-	for _, rs := range all {
-		c.readTargets(&st, v, rs.chunk, &tl)
-		if tl.n == 0 {
-			return ErrUnavailable
-		}
-		groups[tl.srv[0]] = append(groups[tl.srv[0]], rs)
-	}
-	type batch struct {
-		srv string
-		sps []rspan
-	}
-	var batches []batch
-	for srv, sps := range groups {
-		cur := batch{srv: srv}
-		bytes := 0
-		for _, rs := range sps {
-			if len(cur.sps) > 0 && (bytes+len(rs.dst) > readVMaxBytes || len(cur.sps) >= readVMaxExtents) {
-				batches = append(batches, cur)
-				cur = batch{srv: srv}
-				bytes = 0
-			}
-			cur.sps = append(cur.sps, rs)
-			bytes += len(rs.dst)
-		}
-		batches = append(batches, cur)
-	}
-	return boundedPar(c.parallelism, batches, func(b batch) error {
-		exts := make([]ReadVExtent, len(b.sps))
-		for i, rs := range b.sps {
-			exts[i] = ReadVExtent{Chunk: rs.chunk, Off: rs.off, Len: len(rs.dst)}
-		}
+	if first {
 		c.readVRPCs.Add(1)
-		c.readVExtents.Add(int64(len(exts)))
-		resp, err := c.call(sp, b.srv, ReadVReq{VDisk: v, Extents: exts}, readVTimeout)
-		if err == nil {
-			if rr, ok := resp.(ReadVResp); ok {
-				if rr.OK && len(rr.Results) == len(b.sps) {
-					var failed []rspan
-					for i, res := range rr.Results {
-						if !res.OK {
-							// Leave dst untouched here; the fallback fills
-							// (or zeroes) it from the other replica.
-							failed = append(failed, b.sps[i])
-							continue
-						}
-						n := copy(b.sps[i].dst, res.Data)
-						clear(b.sps[i].dst[n:])
-					}
-					// All extent data has been copied out; recycle the
-					// pooled receive buffer it aliased on TCP.
-					rpc.Release(rr)
-					if len(failed) == 0 {
-						return nil
-					}
-					// Per-extent failover: only the damaged extents retry
-					// through the per-chunk path; served data is kept.
-					return c.readFallback(sp, v, failed)
-				}
-				rpc.Release(rr)
-			}
+		c.readVExtents.Add(int64(len(b)))
+	} else {
+		c.readRPCs.Add(1)
+	}
+	resp, err := c.call(sp, srv, ReadVReq{VDisk: v, Extents: exts}, batchTimeout)
+	if err != nil {
+		c.jr.RecordIn(sp, "petal", "read", "failover", uint64(b[0].chunk), int64(len(b)), srv)
+		setErr(b, replicaError{err})
+		return
+	}
+	rr, ok := resp.(ReadVResp)
+	if !ok {
+		setErr(b, replicaError{ErrUnavailable})
+		return
+	}
+	// Once the data is copied out, recycle the pooled receive buffer
+	// it aliases on TCP.
+	defer rpc.Release(rr)
+	switch {
+	case !rr.OK:
+		setErr(b, serverError("read", rr.Err))
+		return
+	case len(rr.Results) != len(b):
+		setErr(b, replicaError{ErrUnavailable})
+		return
+	}
+	for i, res := range rr.Results {
+		s := b[i]
+		if !res.OK {
+			c.jr.RecordIn(sp, "petal", "read", "replica-fail", uint64(s.chunk), 0, srv)
+			s.err = replicaError{fmt.Errorf("petal read: %s", res.Err)}
+			continue
 		}
-		// Server down, lagging, or unknown vdisk: per-chunk reads sort
-		// it out with the usual failover and state refresh.
-		return c.readFallback(sp, v, b.sps)
-	})
-}
-
-// readFallback reads chunk spans one by one through the failover
-// path, with bounded parallelism.
-func (c *Client) readFallback(sp *obs.Span, v VDiskID, sps []rspan) error {
-	return boundedPar(c.parallelism, sps, func(rs rspan) error {
-		return c.readChunk(sp, v, rs.chunk, rs.off, len(rs.dst), rs.dst)
-	})
+		n := copy(s.buf, res.Data)
+		clear(s.buf[n:])
+		s.err = nil
+	}
 }
 
 // Write stores p at byte offset off on behalf of sp's operation (nil
-// for none), committing chunks as needed.
+// for none), committing chunks as needed. The caller may reuse p as
+// soon as Write returns.
 func (c *Client) Write(sp *obs.Span, v VDiskID, off int64, p []byte) error {
 	if off < 0 {
 		return ErrBounds
 	}
 	return c.instr(sp, "write", func(sp *obs.Span) error {
-		return c.forEachSpan(spans(off, len(p)), func(s span) error {
-			return c.writeChunk(sp, v, s.chunk, s.off, p[s.bufOff:s.bufOff+s.length])
-		})
+		// The in-memory transport passes payloads by reference and
+		// callers reuse their buffers (the WAL does); snapshot the
+		// bytes here, where a real driver would DMA. The snapshot
+		// comes from the shared size-classed pool, so the write path
+		// recycles a small working set of buffers.
+		bufp := bufpool.Get(len(p))
+		copy(*bufp, p)
+		leaked, err := c.write(sp, v, appendSpans(nil, off, *bufp))
+		if !leaked {
+			// No attempt timed out, so no in-flight message can still
+			// reference the snapshot; safe to recycle.
+			bufpool.Put(bufp)
+		}
+		return err
 	})
 }
 
@@ -913,59 +873,34 @@ type Extent struct {
 	Data []byte
 }
 
-// wspan is one chunk-local piece of a scatter-gather write.
-type wspan struct {
-	chunk int64
-	off   int
-	data  []byte
-}
-
-// Per-request caps for batched writes: bound the simulated transfer
-// time of one RPC (network ~17 MB/s, disks ~6 MB/s) well under the
-// data-path timeout, and keep message sizes sane.
-const (
-	writeVMaxBytes   = 1 << 20
-	writeVMaxExtents = 256
-	writeVTimeout    = 15 * time.Second
-)
-
 // WriteV is WriteVIn outside any operation.
 func (c *Client) WriteV(v VDiskID, extents []Extent) error { return c.WriteVIn(nil, v, extents) }
 
-// WriteVIn stores every extent on behalf of sp's operation, batching them into as few server round
-// trips as possible: extents are split at chunk boundaries, grouped
-// by their primary replica, and dispatched with bounded parallelism —
-// ideally one WriteVReq per primary. Each batch is applied under a
-// single lease/epoch check at the server. A batch that fails (server
-// down, stale routing) falls back to per-chunk writes with the usual
-// failover, so WriteV is exactly as robust as issuing the extents
-// through Write. The caller must not mutate extent data until WriteV
-// returns.
+// WriteVIn stores every extent on behalf of sp's operation. Like Write
+// it goes through transfer, so chunk spans with the same primary
+// share one WriteVReq, applied under a single lease/epoch check.
+// Unlike Write it copies nothing: the extent data itself goes on the
+// wire, so the caller must hand over buffers it will not touch again.
+// fs does: its flush runs are freshly allocated for each write-back.
 func (c *Client) WriteVIn(sp *obs.Span, v VDiskID, extents []Extent) error {
-	return c.instr(sp, "writev", func(sp *obs.Span) error { return c.writeV(sp, v, extents) })
-}
-
-func (c *Client) writeV(sp *obs.Span, v VDiskID, extents []Extent) error {
-	var all []wspan
+	var todo []ioSpan
 	for _, e := range extents {
 		if e.Off < 0 {
 			return ErrBounds
 		}
-		for _, s := range spans(e.Off, len(e.Data)) {
-			all = append(all, wspan{chunk: s.chunk, off: s.off, data: e.Data[s.bufOff : s.bufOff+s.length]})
-		}
+		todo = appendSpans(todo, e.Off, e.Data)
 	}
-	if len(all) == 0 {
-		return nil
-	}
-	if len(all) == 1 {
-		return c.writeChunk(sp, v, all[0].chunk, all[0].off, all[0].data)
-	}
-	st, err := c.getState()
-	if err != nil {
-		// No routing state: the per-chunk path refreshes and retries.
-		return c.writeWspans(sp, v, all)
-	}
+	return c.instr(sp, "writev", func(sp *obs.Span) error {
+		_, err := c.write(sp, v, todo)
+		return err
+	})
+}
+
+// write runs chunk spans through the retry loop, each routed first to
+// its primary replica. leaked reports that an attempt timed out: its
+// message may still be queued at the carrier, still referencing the
+// span data.
+func (c *Client) write(sp *obs.Span, v VDiskID, todo []ioSpan) (leaked bool, err error) {
 	c.mu.Lock()
 	li := c.leaseInfo
 	c.mu.Unlock()
@@ -974,71 +909,47 @@ func (c *Client) writeV(sp *obs.Span, v VDiskID, extents []Extent) error {
 	if li != nil {
 		expireAt, leaseID = li()
 	}
-	var epoch int64
-	if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
-		epoch = meta.Epoch
-	}
-	// Group spans by primary replica, splitting oversized groups into
-	// size-capped batches.
-	groups := make(map[string][]wspan)
-	var tl targetList
-	for _, ws := range all {
-		c.targets(&st, v, ws.chunk, &tl)
-		if tl.n == 0 {
-			return ErrUnavailable
+	var timedOut atomic.Bool
+	err = c.transfer(sp, v, todo, c.targets, func(st *GlobalState, srv string, b []*ioSpan, first bool) {
+		exts := make([]WriteVExtent, len(b))
+		for i, s := range b {
+			exts[i] = WriteVExtent{Chunk: s.chunk, Off: s.off, Data: s.buf}
 		}
-		groups[tl.srv[0]] = append(groups[tl.srv[0]], ws)
-	}
-	type batch struct {
-		srv string
-		sps []wspan
-	}
-	var batches []batch
-	for srv, sps := range groups {
-		cur := batch{srv: srv}
-		bytes := 0
-		for _, ws := range sps {
-			if len(cur.sps) > 0 && (bytes+len(ws.data) > writeVMaxBytes || len(cur.sps) >= writeVMaxExtents) {
-				batches = append(batches, cur)
-				cur = batch{srv: srv}
-				bytes = 0
+		req := WriteVReq{VDisk: v, Extents: exts, ExpireAt: expireAt, LeaseID: leaseID}
+		// Stamp the epoch we are writing at so replicas lagging a
+		// snapshot wait for Paxos catch-up instead of writing into the
+		// frozen epoch.
+		if meta, ok := st.VDisks[v]; ok && !meta.ReadOnly {
+			req.Epoch = meta.Epoch
+		}
+		if first {
+			c.writeVRPCs.Add(1)
+			c.writeVExtents.Add(int64(len(b)))
+		} else {
+			c.writeRPCs.Add(1)
+		}
+		resp, err := c.call(sp, srv, req, batchTimeout)
+		if err != nil {
+			timedOut.Store(true)
+			c.jr.RecordIn(sp, "petal", "write", "failover", uint64(b[0].chunk), int64(len(b)), srv)
+			setErr(b, replicaError{err})
+			return
+		}
+		wr, ok := resp.(WriteVResp)
+		switch {
+		case !ok:
+			setErr(b, replicaError{ErrUnavailable})
+		case !wr.OK:
+			err := serverError("write", wr.Err)
+			if err == ErrLeaseExpired {
+				c.jr.RecordIn(sp, "petal", "write", "lease-rejected", uint64(b[0].chunk), 0, srv)
 			}
-			cur.sps = append(cur.sps, ws)
-			bytes += len(ws.data)
+			setErr(b, err)
+		default:
+			setErr(b, nil)
 		}
-		batches = append(batches, cur)
-	}
-	return boundedPar(c.parallelism, batches, func(b batch) error {
-		exts := make([]WriteVExtent, len(b.sps))
-		for i, ws := range b.sps {
-			exts[i] = WriteVExtent{Chunk: ws.chunk, Off: ws.off, Data: ws.data}
-		}
-		req := WriteVReq{VDisk: v, Extents: exts, ExpireAt: expireAt, LeaseID: leaseID, Epoch: epoch}
-		c.writeVRPCs.Add(1)
-		c.writeVExtents.Add(int64(len(exts)))
-		resp, err := c.call(sp, b.srv, req, writeVTimeout)
-		if err == nil {
-			if wr, ok := resp.(WriteVResp); ok {
-				if wr.OK {
-					return nil
-				}
-				if wr.Err == ErrLeaseExpired.Error() {
-					return ErrLeaseExpired
-				}
-			}
-		}
-		// Server down, lagging, or mid-batch failure: per-chunk writes
-		// sort out partial progress (chunk replays are idempotent).
-		return c.writeWspans(sp, v, b.sps)
 	})
-}
-
-// writeWspans writes chunk spans one by one through the failover
-// path, with bounded parallelism.
-func (c *Client) writeWspans(sp *obs.Span, v VDiskID, sps []wspan) error {
-	return boundedPar(c.parallelism, sps, func(ws wspan) error {
-		return c.writeChunk(sp, v, ws.chunk, ws.off, ws.data)
-	})
+	return timedOut.Load(), err
 }
 
 // admin submits a global-state command via any answering server.

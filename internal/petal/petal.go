@@ -73,23 +73,6 @@ func fnv64(v VDiskID, chunk int64) uint64 {
 
 // Wire messages for the Petal data and control path.
 type (
-	// ReadReq reads Len bytes at Off within one chunk of a vdisk.
-	ReadReq struct {
-		VDisk VDiskID
-		Chunk int64
-		Off   int
-		Len   int
-	}
-	// ReadResp carries data or an error string. When decoded from the
-	// TCP carrier's fast codec, Data aliases a pooled receive buffer
-	// (wb); the consumer releases it with rpc.Release after copying
-	// the data out. gob ignores the unexported field.
-	ReadResp struct {
-		OK   bool
-		Err  string
-		Data []byte
-		wb   *rpc.RecvBuf
-	}
 	// ReadVExtent asks for Len bytes at Off within one chunk — one
 	// piece of a scatter-gather read.
 	ReadVExtent struct {
@@ -118,44 +101,15 @@ type (
 	// not be served (e.g. unknown vdisk); extent-local failures (a CRC
 	// error on one chunk) come back in Results so the other extents'
 	// data is not thrown away.
-	// Per-extent Data may alias a pooled receive buffer (wb), as in
-	// ReadResp.
+	// When decoded from the TCP carrier's fast codec, per-extent Data
+	// aliases a pooled receive buffer (wb); the consumer releases it
+	// with rpc.Release after copying the data out. gob ignores the
+	// unexported field.
 	ReadVResp struct {
 		OK      bool
 		Err     string
 		Results []ReadVExtentResult
 		wb      *rpc.RecvBuf
-	}
-	// WriteReq writes Data at Off within one chunk. Forwarded marks
-	// replica-to-replica propagation. ExpireAt optionally carries the
-	// writer's lease expiration (simulated ns); servers configured
-	// with a write guard reject requests whose lease has expired —
-	// the hazard fix proposed at the end of paper §6. LeaseID
-	// optionally identifies the writer's lock-service lease for the
-	// integrated validation variant.
-	WriteReq struct {
-		VDisk     VDiskID
-		Chunk     int64
-		Off       int
-		Data      []byte
-		Forwarded bool
-		ExpireAt  int64
-		LeaseID   uint64
-		// Epoch, when non-zero, is the vdisk epoch the writer intends
-		// to write at. A server lagging behind waits for its Paxos
-		// apply loop to catch up; a writer lagging behind a snapshot
-		// is told to refresh. Zero bypasses the check (server-local
-		// resolution), used only by in-process tests.
-		Epoch int64
-
-		// wb is the pooled receive buffer Data aliases when the
-		// request was decoded by the TCP fast codec.
-		wb *rpc.RecvBuf
-	}
-	// WriteResp acknowledges a write.
-	WriteResp struct {
-		OK  bool
-		Err string
 	}
 	// WriteVExtent is one piece of a scatter-gather write: Data lands
 	// at Off within Chunk.
@@ -166,23 +120,33 @@ type (
 	}
 	// WriteVReq is a multi-extent write: the server applies every
 	// extent under a single lease/epoch check, so one cache-sync round
-	// trip carries many coalesced dirty runs. Lease, epoch, and
-	// forwarding semantics match WriteReq.
-	// Per-extent Data may alias a pooled receive buffer (wb), as in
-	// WriteReq.
+	// trip carries many coalesced dirty runs.
 	WriteVReq struct {
-		VDisk     VDiskID
-		Extents   []WriteVExtent
+		VDisk   VDiskID
+		Extents []WriteVExtent
+		// Forwarded marks replica-to-replica propagation.
 		Forwarded bool
-		ExpireAt  int64
-		LeaseID   uint64
-		Epoch     int64
-		wb        *rpc.RecvBuf
+		// ExpireAt optionally carries the writer's lease expiration
+		// (simulated ns); servers that guard writes reject requests
+		// whose lease has expired — the hazard fix proposed at the end
+		// of paper §6. LeaseID optionally identifies the writer's
+		// lock-service lease for the integrated validation variant.
+		ExpireAt int64
+		LeaseID  uint64
+		// Epoch, when non-zero, is the vdisk epoch the writer intends
+		// to write at. A server lagging behind waits for its Paxos
+		// apply loop to catch up; a writer lagging behind a snapshot
+		// is told to refresh. Zero bypasses the check (server-local
+		// resolution), used only by in-process tests.
+		Epoch int64
+		// wb is the pooled receive buffer per-extent Data aliases when
+		// the request was decoded by the TCP fast codec.
+		wb *rpc.RecvBuf
 	}
 	// WriteVResp acknowledges a scatter-gather write. All extents
 	// applied (OK) or the batch failed at the first bad extent (Err);
-	// the client falls back to per-chunk writes to sort out partial
-	// progress — replays are idempotent at the store.
+	// the client resends the batch to sort out partial progress —
+	// replays are idempotent at the store.
 	WriteVResp struct {
 		OK  bool
 		Err string
@@ -255,9 +219,6 @@ type (
 // WireSize implementations so the simulated network charges the data
 // path realistically.
 
-// WireSize reports the payload size of a read response.
-func (r ReadResp) WireSize() int { return len(r.Data) }
-
 // WireSize reports the total payload size of a scatter-gather read
 // response.
 func (r ReadVResp) WireSize() int {
@@ -267,9 +228,6 @@ func (r ReadVResp) WireSize() int {
 	}
 	return n
 }
-
-// WireSize reports the payload size of a write request.
-func (w WriteReq) WireSize() int { return len(w.Data) }
 
 // WireSize reports the total payload size of a scatter-gather write.
 func (w WriteVReq) WireSize() int {

@@ -380,9 +380,7 @@ func TestSnapshotOfSnapshotAndChain(t *testing.T) {
 
 func TestWriteGuardRejectsExpiredLease(t *testing.T) {
 	tc := newTestCluster(t, 3, func(cfg *ServerConfig) {
-		cfg.WriteGuard = func(req WriteReq, now int64) bool {
-			return req.ExpireAt == 0 || req.ExpireAt > now
-		}
+		cfg.GuardWrites = true
 	})
 	d := tc.mustCreate(t, "vol")
 	// Unstamped writes pass.
@@ -510,17 +508,17 @@ func TestStoreCOWAndTombstones(t *testing.T) {
 	st := newStore([]*sim.Disk{d}, nil)
 
 	// Epoch 1: write; epoch 2 write must COW and preserve epoch 1.
-	if err := st.writeChunk("v", 0, 1, 0, []byte{1, 1, 1}); err != nil {
+	if err := st.write("v", 0, 1, 0, []byte{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.writeChunk("v", 0, 2, 1, []byte{2}); err != nil {
+	if err := st.write("v", 0, 2, 1, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	old, ok, err := st.readChunk("v", 0, 1, 0, 3)
+	old, ok, err := st.read("v", 0, 1, 0, 3)
 	if err != nil || !ok || !bytes.Equal(old, []byte{1, 1, 1}) {
 		t.Fatalf("epoch-1 view = %v ok=%v err=%v", old, ok, err)
 	}
-	cur, ok, err := st.readChunk("v", 0, 2, 0, 3)
+	cur, ok, err := st.read("v", 0, 2, 0, 3)
 	if err != nil || !ok || !bytes.Equal(cur, []byte{1, 2, 1}) {
 		t.Fatalf("epoch-2 view = %v ok=%v err=%v", cur, ok, err)
 	}
@@ -528,15 +526,15 @@ func TestStoreCOWAndTombstones(t *testing.T) {
 	// Decommit at epoch 2 hides data from epoch >= 2 but epoch-1 views
 	// still see it.
 	st.decommit("v", 0, 2)
-	if _, ok, _ := st.readChunk("v", 0, 2, 0, 3); ok {
+	if _, ok, _ := st.read("v", 0, 2, 0, 3); ok {
 		t.Fatal("decommitted chunk still visible at current epoch")
 	}
-	if got, ok, _ := st.readChunk("v", 0, 1, 0, 3); !ok || !bytes.Equal(got, []byte{1, 1, 1}) {
+	if got, ok, _ := st.read("v", 0, 1, 0, 3); !ok || !bytes.Equal(got, []byte{1, 1, 1}) {
 		t.Fatal("snapshot view lost after decommit")
 	}
 
 	// Decommit with no older epoch removes everything.
-	if err := st.writeChunk("w", 5, 1, 0, []byte{9}); err != nil {
+	if err := st.write("w", 5, 1, 0, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
 	before := st.committedBytes()
@@ -544,7 +542,7 @@ func TestStoreCOWAndTombstones(t *testing.T) {
 	if st.committedBytes() != before-ChunkSize {
 		t.Fatal("simple decommit did not free the chunk")
 	}
-	if _, ok, _ := st.readChunk("w", 5, 1, 0, 1); ok {
+	if _, ok, _ := st.read("w", 5, 1, 0, 1); ok {
 		t.Fatal("decommitted chunk still readable")
 	}
 }

@@ -39,7 +39,7 @@ func TestReadVRoundTripBatchesRPCs(t *testing.T) {
 	}
 	after := tc.client.Stats()
 	if got := after.ReadRPCs - before.ReadRPCs; got != 0 {
-		t.Fatalf("ReadV fell back to %d per-chunk reads", got)
+		t.Fatalf("ReadV resent %d batches on the happy path", got)
 	}
 	if got := after.ReadVRPCs - before.ReadVRPCs; got < 1 || got > 3 {
 		t.Fatalf("ReadV used %d RPCs for %d extents on 3 servers; want 1..3", got, chunks)
@@ -104,7 +104,7 @@ func TestReadVPerExtentFailover(t *testing.T) {
 	}
 	// Fail every disk on one server: its store errors all chunk reads
 	// while heartbeats keep it "alive", so routing still selects it
-	// and only the per-extent fallback can recover.
+	// and only per-extent failover can recover.
 	for _, disk := range tc.servers[1].Disks() {
 		disk.Fail()
 	}
@@ -135,7 +135,7 @@ func TestReadVPerExtentFailover(t *testing.T) {
 	}
 	after := tc.client.Stats()
 	if after.ReadRPCs == before.ReadRPCs {
-		t.Fatal("expected per-extent fallback reads against the surviving replica")
+		t.Fatal("expected per-extent failover reads against the surviving replica")
 	}
 }
 

@@ -26,9 +26,10 @@ type ServerConfig struct {
 	// Heartbeat timing for the failure detector.
 	HeartbeatEvery sim.Duration
 	SuspectAfter   sim.Duration
-	// WriteGuard, if non-nil, can reject writes (lease validation).
-	// It receives the request and the current simulated time in ns.
-	WriteGuard func(req WriteReq, now int64) bool
+	// GuardWrites rejects client writes stamped with an expired lease
+	// (ExpireAt set and not after the current simulated time) — the
+	// hazard fix proposed at the end of paper §6.
+	GuardWrites bool
 	// NoReplicate disables write forwarding to the partner replica —
 	// an ablation knob for the Figure 7 replication-cost study. Only
 	// safe in failure-free runs.
@@ -215,12 +216,8 @@ func (s *Server) handle(sp *obs.Span, from string, body any) any {
 	// Server-side work is charged to the originating client.
 	s.acct.ServerOp(sp.Who())
 	switch m := body.(type) {
-	case ReadReq:
-		return s.spanned(sp, "server.read", func(*obs.Span) any { return s.onRead(m) })
 	case ReadVReq:
 		return s.spanned(sp, "server.readv", func(*obs.Span) any { return s.onReadV(m) })
-	case WriteReq:
-		return s.spanned(sp, "server.write", func(sp *obs.Span) any { return s.onWrite(sp, m) })
 	case WriteVReq:
 		return s.spanned(sp, "server.writev", func(sp *obs.Span) any { return s.onWriteV(sp, m) })
 	case DecommitReq:
@@ -349,34 +346,13 @@ func (s *Server) chargeCPU(bytes int) {
 	s.cpu.Use(s.cfg.CPUPerOp + sim.Duration(bytes/1024)*s.cfg.CPUPerKB)
 }
 
-func (s *Server) onRead(m ReadReq) ReadResp {
-	s.chargeCPU(m.Len)
-	s.mu.Lock()
-	base, ceiling, _, err := s.state.resolve(m.VDisk)
-	s.mu.Unlock()
-	if err != nil {
-		return ReadResp{Err: err.Error()}
-	}
-	if m.Off < 0 || m.Len < 0 || m.Off+m.Len > ChunkSize {
-		return ReadResp{Err: ErrBounds.Error()}
-	}
-	data, committed, err := s.st.readChunk(base, m.Chunk, ceiling, m.Off, m.Len)
-	if err != nil {
-		return ReadResp{Err: err.Error()}
-	}
-	if !committed {
-		return ReadResp{OK: true, Data: nil} // hole: reads as zeros
-	}
-	return ReadResp{OK: true, Data: data}
-}
-
 // readVServePar bounds concurrent store reads while serving one
 // scatter-gather read; the disk arms serialize actual media time.
 const readVServePar = 16
 
 // onReadV serves a scatter-gather read: the vdisk resolves once, then
-// every extent is read from the local store with bounded parallelism.
-// Reads don't modify anything, so unlike applyExtents no conflict
+// every extent is read from the local store with bounded parallelism
+// (a one-extent read runs inline, spawning no goroutine). Reads don't modify anything, so unlike applyExtents no conflict
 // chaining is needed. Extent failures (e.g. a CRC error) are reported
 // per extent so the client can fail over only the damaged pieces.
 func (s *Server) onReadV(m ReadVReq) ReadVResp {
@@ -392,33 +368,31 @@ func (s *Server) onReadV(m ReadVReq) ReadVResp {
 		return ReadVResp{Err: err.Error()}
 	}
 	results := make([]ReadVExtentResult, len(m.Extents))
-	sem := make(chan struct{}, readVServePar)
-	var wg sync.WaitGroup
-	for i := range m.Extents {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			e := m.Extents[i]
-			if e.Off < 0 || e.Len < 0 || e.Off+e.Len > ChunkSize {
-				results[i] = ReadVExtentResult{Err: ErrBounds.Error()}
-				return
-			}
-			data, committed, err := s.st.readChunk(base, e.Chunk, ceiling, e.Off, e.Len)
-			if err != nil {
-				results[i] = ReadVExtentResult{Err: err.Error()}
-				return
-			}
-			if !committed {
-				results[i] = ReadVExtentResult{OK: true} // hole: reads as zeros
-				return
-			}
-			results[i] = ReadVExtentResult{OK: true, Data: data}
-		}(i)
+	idx := make([]int, len(m.Extents))
+	for i := range idx {
+		idx[i] = i
 	}
-	wg.Wait()
+	// Failures are reported per extent, in results.
+	_ = boundedPar(readVServePar, idx, func(i int) error {
+		results[i] = s.readExtent(base, ceiling, m.Extents[i])
+		return nil
+	})
 	return ReadVResp{OK: true, Results: results}
+}
+
+// readExtent serves one extent of a scatter-gather read.
+func (s *Server) readExtent(base VDiskID, ceiling int64, e ReadVExtent) ReadVExtentResult {
+	if e.Off < 0 || e.Len < 0 || e.Off+e.Len > ChunkSize {
+		return ReadVExtentResult{Err: ErrBounds.Error()}
+	}
+	data, committed, err := s.st.read(base, e.Chunk, ceiling, e.Off, e.Len)
+	if err != nil {
+		return ReadVExtentResult{Err: err.Error()}
+	}
+	if !committed {
+		return ReadVExtentResult{OK: true} // hole: reads as zeros
+	}
+	return ReadVExtentResult{OK: true, Data: data}
 }
 
 // resolveWriteEpoch maps a vdisk to its writable (base, ceiling)
@@ -457,46 +431,16 @@ func (s *Server) resolveWriteEpoch(v VDiskID, epoch int64) (base VDiskID, ceilin
 	return base, ceiling, st, ""
 }
 
-func (s *Server) onWrite(sp *obs.Span, m WriteReq) WriteResp {
-	// On TCP, m.Data aliases a pooled receive buffer. Once the store
-	// has copied the bytes and any replica forward has completed, the
-	// buffer is recycled — unless a forward timed out, in which case
-	// the payload may still be queued at the carrier and the buffer
-	// must leak to the garbage collector instead.
-	leaked := false
-	defer func() {
-		if !leaked {
-			rpc.Release(m)
-		}
-	}()
-	s.chargeCPU(len(m.Data))
-	if g := s.cfg.WriteGuard; g != nil && !m.Forwarded {
-		if !g(m, int64(s.w.Clock.Now())) {
-			return WriteResp{Err: ErrLeaseExpired.Error()}
-		}
-	}
-	base, ceiling, st, errStr := s.resolveWriteEpoch(m.VDisk, m.Epoch)
-	if errStr != "" {
-		return WriteResp{Err: errStr}
-	}
-	if m.Off < 0 || m.Off+len(m.Data) > ChunkSize {
-		return WriteResp{Err: ErrBounds.Error()}
-	}
-	if err := s.st.writeChunk(base, m.Chunk, ceiling, m.Off, m.Data); err != nil {
-		return WriteResp{Err: err.Error()}
-	}
-	if !m.Forwarded && !s.cfg.NoReplicate {
-		leaked = s.replicate(sp, st, base, ceiling, m)
-	}
-	return WriteResp{OK: true}
-}
-
 // onWriteV applies a scatter-gather write: one lease check and one
 // epoch resolution cover every extent, then the extents land on the
 // local store in order. Replication forwards the extents grouped by
 // partner so the batch stays batched on the replica hop too.
 func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
-	// Same pooled-buffer discipline as onWrite.
+	// On TCP, extent data aliases a pooled receive buffer. Once the
+	// store has copied the bytes and any replica forward has completed,
+	// the buffer is recycled — unless a forward timed out, in which
+	// case the payload may still be queued at the carrier and the
+	// buffer must leak to the garbage collector instead.
 	leaked := false
 	defer func() {
 		if !leaked {
@@ -508,13 +452,8 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
 		total += len(e.Data)
 	}
 	s.chargeCPU(total)
-	if g := s.cfg.WriteGuard; g != nil && !m.Forwarded {
-		// The guard inspects lease fields only; hand it an equivalent
-		// single-write request.
-		probe := WriteReq{VDisk: m.VDisk, ExpireAt: m.ExpireAt, LeaseID: m.LeaseID, Epoch: m.Epoch}
-		if !g(probe, int64(s.w.Clock.Now())) {
-			return WriteVResp{Err: ErrLeaseExpired.Error()}
-		}
+	if s.cfg.GuardWrites && !m.Forwarded && m.ExpireAt != 0 && m.ExpireAt <= int64(s.w.Clock.Now()) {
+		return WriteVResp{Err: ErrLeaseExpired.Error()}
 	}
 	base, ceiling, st, errStr := s.resolveWriteEpoch(m.VDisk, m.Epoch)
 	if errStr != "" {
@@ -539,39 +478,24 @@ func (s *Server) onWriteV(sp *obs.Span, m WriteVReq) WriteVResp {
 const writeVApplyPar = 16
 
 // applyExtents applies a batch's extents to the local store with
-// bounded parallelism — the disk-level half of scatter-gather.
-// Extents whose sector-aligned spans overlap are chained into one
+// bounded parallelism — the disk-level half of scatter-gather (a
+// single unit runs inline). Extents whose sector-aligned spans overlap are chained into one
 // serial unit so read-modify-write at a shared edge sector stays
 // ordered; everything else proceeds concurrently. Returns the first
 // error string, or "".
 func (s *Server) applyExtents(base VDiskID, ceiling int64, exts []WriteVExtent) string {
-	units := conflictUnits(exts)
-	var (
-		wg   sync.WaitGroup
-		emu  sync.Mutex
-		ferr string
-	)
-	sem := make(chan struct{}, writeVApplyPar)
-	for _, u := range units {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(u []WriteVExtent) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for _, e := range u {
-				if err := s.st.writeChunk(base, e.Chunk, ceiling, e.Off, e.Data); err != nil {
-					emu.Lock()
-					if ferr == "" {
-						ferr = err.Error()
-					}
-					emu.Unlock()
-					return
-				}
+	err := boundedPar(writeVApplyPar, conflictUnits(exts), func(u []WriteVExtent) error {
+		for _, e := range u {
+			if err := s.st.write(base, e.Chunk, ceiling, e.Off, e.Data); err != nil {
+				return err
 			}
-		}(u)
+		}
+		return nil
+	})
+	if err != nil {
+		return err.Error()
 	}
-	wg.Wait()
-	return ferr
+	return ""
 }
 
 // conflictUnits sorts extents by (chunk, offset) and chains those
@@ -648,49 +572,6 @@ func (s *Server) replicateV(sp *obs.Span, st GlobalState, base VDiskID, epoch in
 		}
 		s.mu.Unlock()
 	}
-	return leaked
-}
-
-// replicate forwards a client write to the partner replica, recording
-// a missed write if the partner is down or unreachable. As with
-// replicateV, leaked reports that the forwarded payload may still be
-// queued at the carrier.
-func (s *Server) replicate(sp *obs.Span, st GlobalState, base VDiskID, epoch int64, m WriteReq) (leaked bool) {
-	p1, p2 := st.replicas(base, m.Chunk)
-	partner := p1
-	if p1 == s.name {
-		partner = p2
-	}
-	if partner == "" || partner == s.name {
-		return false
-	}
-	fw := m
-	fw.Forwarded = true
-	fw.Epoch = epoch
-	s.mu.Lock()
-	partnerAlive := st.Alive[partner]
-	s.mu.Unlock()
-	if partnerAlive {
-		resp, err := s.ep.Call(sp, DataAddr(partner), fw, dataTimeout)
-		if err == nil {
-			if wr, ok := resp.(WriteResp); ok && wr.OK {
-				return false
-			}
-		} else {
-			leaked = true
-		}
-	}
-	// Partner missed this write; remember the exact chunk key so
-	// rejoin (or anti-entropy) can copy the whole chunk image.
-	key := chunkKey{base, m.Chunk, epoch}
-	s.mu.Lock()
-	mm := s.missed[partner]
-	if mm == nil {
-		mm = make(map[chunkKey]bool)
-		s.missed[partner] = mm
-	}
-	mm[key] = true
-	s.mu.Unlock()
 	return leaked
 }
 
@@ -796,7 +677,7 @@ func (s *Server) DebugReadChunk(v VDiskID, chunk int64, off, length int) ([]byte
 	if err != nil {
 		return nil, false
 	}
-	data, ok, err := s.st.readChunk(base, chunk, ceiling, off, length)
+	data, ok, err := s.st.read(base, chunk, ceiling, off, length)
 	if err != nil {
 		return nil, false
 	}

@@ -115,10 +115,10 @@ func (s *store) latestLocked(v VDiskID, chunk, ceiling int64) int64 {
 	return eps[i-1]
 }
 
-// readChunk reads length bytes at off within the chunk visible at
+// read reads length bytes at off within the chunk visible at
 // epoch ceiling. Missing or decommitted chunks read as zeros (ok is
 // false then, letting the caller skip network payload for holes).
-func (s *store) readChunk(v VDiskID, chunk, ceiling int64, off, length int) (data []byte, committed bool, err error) {
+func (s *store) read(v VDiskID, chunk, ceiling int64, off, length int) (data []byte, committed bool, err error) {
 	s.mu.Lock()
 	e := s.latestLocked(v, chunk, ceiling)
 	if e == 0 {
@@ -145,11 +145,11 @@ func (s *store) readChunk(v VDiskID, chunk, ceiling int64, off, length int) (dat
 	return buf[int64(off)-lo : int64(off)-lo+int64(length)], true, nil
 }
 
-// writeChunk applies data at off within (v, chunk) at exactly epoch.
+// write applies data at off within (v, chunk) at exactly epoch.
 // If the chunk has no extent at that epoch, one is allocated and
 // seeded copy-on-write from the latest older epoch, preserving
 // snapshot contents.
-func (s *store) writeChunk(v VDiskID, chunk, epoch int64, off int, data []byte) error {
+func (s *store) write(v VDiskID, chunk, epoch int64, off int, data []byte) error {
 	key := chunkKey{v, chunk, epoch}
 	s.mu.Lock()
 	ext, ok := s.extents[key]

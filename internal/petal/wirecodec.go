@@ -6,9 +6,9 @@ import (
 	"frangipani/internal/rpc"
 )
 
-// Hand-rolled wire codec for the Petal data path. The eight
-// high-volume message types — Read/Write/ReadV/WriteV requests and
-// replies — implement rpc.WireMessage and register rpc decoders, so
+// Hand-rolled wire codec for the Petal data path. Its four message
+// types — the ReadV/WriteV requests and replies, the only data-path
+// messages — implement rpc.WireMessage and register rpc decoders, so
 // on the TCP carrier they bypass gob entirely: headers are appended
 // into a small pooled buffer, payload []byte fields are handed to the
 // carrier as the caller's own slices (zero-copy encode), and decode
@@ -24,12 +24,8 @@ import (
 
 // Wire type tags (tag 0 is rpc's gob escape hatch).
 const (
-	TagReadReq byte = iota + 1
-	TagReadResp
-	TagReadVReq
+	TagReadVReq byte = iota + 1
 	TagReadVResp
-	TagWriteReq
-	TagWriteResp
 	TagWriteVReq
 	TagWriteVResp
 )
@@ -76,73 +72,6 @@ func appendVarint(dst []byte, v int64) []byte {
 	}
 	return appendUvarint(dst, uv)
 }
-
-// ---- ReadReq ----
-
-// WireTag implements rpc.WireMessage.
-func (r ReadReq) WireTag() byte { return TagReadReq }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (r ReadReq) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendString(dst, string(r.VDisk))
-	dst = appendVarint(dst, r.Chunk)
-	dst = appendUvarint(dst, uint64(r.Off))
-	return appendUvarint(dst, uint64(r.Len))
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (r ReadReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) { return dst, 0 }
-
-func decodeReadReq(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	r := ReadReq{VDisk: VDiskID(hc.String())}
-	r.Chunk = hc.Varint()
-	r.Off = int(hc.Uvarint())
-	r.Len = int(hc.Uvarint())
-	if !hc.Done() || len(payload) != 0 {
-		return nil, false, fmt.Errorf("%w: ReadReq", rpc.ErrBadMessage)
-	}
-	return r, false, nil
-}
-
-// ---- ReadResp ----
-
-// WireTag implements rpc.WireMessage.
-func (r ReadResp) WireTag() byte { return TagReadResp }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (r ReadResp) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendBool(dst, r.OK)
-	dst = rpc.AppendString(dst, r.Err)
-	return appendDataLen(dst, r.Data, r.Data != nil)
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (r ReadResp) AppendWirePayloads(dst [][]byte) ([][]byte, int) {
-	if len(r.Data) == 0 {
-		return dst, 0
-	}
-	return append(dst, r.Data), len(r.Data)
-}
-
-func decodeReadResp(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	pc := rpc.Cursor{Data: payload}
-	r := ReadResp{OK: hc.Bool(), Err: hc.String()}
-	r.Data = takeData(&hc, &pc)
-	if !hc.Done() || !pc.Done() {
-		return nil, false, fmt.Errorf("%w: ReadResp", rpc.ErrBadMessage)
-	}
-	if len(payload) > 0 {
-		r.wb = rb
-		return r, true, nil
-	}
-	return r, false, nil
-}
-
-// ReleaseWire implements rpc.WireReleaser: it returns the pooled
-// receive buffer the Data field aliases. Idempotent.
-func (r ReadResp) ReleaseWire() { r.wb.Release() }
 
 // ---- ReadVReq ----
 
@@ -239,79 +168,6 @@ func decodeReadVResp(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error)
 // receive buffer the per-extent Data fields alias. Idempotent.
 func (r ReadVResp) ReleaseWire() { r.wb.Release() }
 
-// ---- WriteReq ----
-
-// WireTag implements rpc.WireMessage.
-func (w WriteReq) WireTag() byte { return TagWriteReq }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (w WriteReq) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendString(dst, string(w.VDisk))
-	dst = appendVarint(dst, w.Chunk)
-	dst = appendUvarint(dst, uint64(w.Off))
-	dst = rpc.AppendBool(dst, w.Forwarded)
-	dst = appendVarint(dst, w.ExpireAt)
-	dst = appendUvarint(dst, w.LeaseID)
-	dst = appendVarint(dst, w.Epoch)
-	return appendDataLen(dst, w.Data, w.Data != nil)
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (w WriteReq) AppendWirePayloads(dst [][]byte) ([][]byte, int) {
-	if len(w.Data) == 0 {
-		return dst, 0
-	}
-	return append(dst, w.Data), len(w.Data)
-}
-
-func decodeWriteReq(header, payload []byte, rb *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	pc := rpc.Cursor{Data: payload}
-	w := WriteReq{VDisk: VDiskID(hc.String())}
-	w.Chunk = hc.Varint()
-	w.Off = int(hc.Uvarint())
-	w.Forwarded = hc.Bool()
-	w.ExpireAt = hc.Varint()
-	w.LeaseID = hc.Uvarint()
-	w.Epoch = hc.Varint()
-	w.Data = takeData(&hc, &pc)
-	if !hc.Done() || !pc.Done() {
-		return nil, false, fmt.Errorf("%w: WriteReq", rpc.ErrBadMessage)
-	}
-	if len(payload) > 0 {
-		w.wb = rb
-		return w, true, nil
-	}
-	return w, false, nil
-}
-
-// ReleaseWire implements rpc.WireReleaser: it returns the pooled
-// receive buffer the Data field aliases. Idempotent.
-func (w WriteReq) ReleaseWire() { w.wb.Release() }
-
-// ---- WriteResp ----
-
-// WireTag implements rpc.WireMessage.
-func (w WriteResp) WireTag() byte { return TagWriteResp }
-
-// AppendWireHeader implements rpc.WireMessage.
-func (w WriteResp) AppendWireHeader(dst []byte) []byte {
-	dst = rpc.AppendBool(dst, w.OK)
-	return rpc.AppendString(dst, w.Err)
-}
-
-// AppendWirePayloads implements rpc.WireMessage.
-func (w WriteResp) AppendWirePayloads(dst [][]byte) ([][]byte, int) { return dst, 0 }
-
-func decodeWriteResp(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error) {
-	hc := rpc.Cursor{Data: header}
-	w := WriteResp{OK: hc.Bool(), Err: hc.String()}
-	if !hc.Done() || len(payload) != 0 {
-		return nil, false, fmt.Errorf("%w: WriteResp", rpc.ErrBadMessage)
-	}
-	return w, false, nil
-}
-
 // ---- WriteVReq ----
 
 // WireTag implements rpc.WireMessage.
@@ -400,12 +256,8 @@ func decodeWriteVResp(header, payload []byte, _ *rpc.RecvBuf) (any, bool, error)
 }
 
 func init() {
-	rpc.RegisterWireDecoder(TagReadReq, decodeReadReq)
-	rpc.RegisterWireDecoder(TagReadResp, decodeReadResp)
 	rpc.RegisterWireDecoder(TagReadVReq, decodeReadVReq)
 	rpc.RegisterWireDecoder(TagReadVResp, decodeReadVResp)
-	rpc.RegisterWireDecoder(TagWriteReq, decodeWriteReq)
-	rpc.RegisterWireDecoder(TagWriteResp, decodeWriteResp)
 	rpc.RegisterWireDecoder(TagWriteVReq, decodeWriteVReq)
 	rpc.RegisterWireDecoder(TagWriteVResp, decodeWriteVResp)
 }

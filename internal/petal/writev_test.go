@@ -44,7 +44,7 @@ func TestWriteVScatteredRoundTrip(t *testing.T) {
 func TestWriteVBatchesRPCs(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")
-	// 32 small extents inside one chunk: the per-extent path would
+	// 32 small extents inside one chunk: one RPC per extent would
 	// cost 32 write RPCs; scatter-gather should need far fewer (one
 	// per replica-server batch).
 	var exts []Extent
@@ -66,42 +66,22 @@ func TestWriteVBatchesRPCs(t *testing.T) {
 		t.Fatalf("WriteV used %d RPCs for 32 extents; batching ineffective", vRPCs)
 	}
 	if singles != 0 {
-		t.Fatalf("%d extents fell back to per-chunk writes on the happy path", singles)
-	}
-}
-
-func TestWriteVSingleExtentUsesPlainWrite(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
-	d := tc.mustCreate(t, "vol")
-	before := tc.client.Stats()
-	if err := d.WriteV([]Extent{{Off: 100, Data: patternBuf(300, 7)}}); err != nil {
-		t.Fatal(err)
-	}
-	after := tc.client.Stats()
-	if after.WriteVRPCs != before.WriteVRPCs {
-		t.Fatal("single-extent WriteV should take the plain write path")
-	}
-	got := make([]byte, 300)
-	if err := d.ReadAt(got, 100); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, patternBuf(300, 7)) {
-		t.Fatal("single-extent round trip mismatch")
+		t.Fatalf("%d write batches resent on the happy path", singles)
 	}
 }
 
 func TestWriteVFailoverOnCrash(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	d := tc.mustCreate(t, "vol")
-	// Crash one server; batches routed to it must fall back to the
-	// per-chunk path, which retries against the survivors.
+	// Crash one server; batches routed to it must fail over to the
+	// other replica of each chunk.
 	tc.servers[1].Crash()
 	waitUntil(t, 20*time.Second, func() bool {
 		return !tc.servers[0].State().Alive["p1"]
 	})
 	var exts []Extent
 	for i := 0; i < 8; i++ {
-		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(2048, byte(i + 1))})
+		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(2048, byte(i+1))})
 	}
 	if err := d.WriteV(exts); err != nil {
 		t.Fatal(err)
@@ -122,13 +102,13 @@ func TestWriteVReplicatesAcrossCrash(t *testing.T) {
 	d := tc.mustCreate(t, "vol")
 	var exts []Extent
 	for i := 0; i < 6; i++ {
-		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(4096, byte(0x40 + i))})
+		exts = append(exts, Extent{Off: int64(i) * int64(ChunkSize), Data: patternBuf(4096, byte(0x40+i))})
 	}
 	if err := d.WriteV(exts); err != nil {
 		t.Fatal(err)
 	}
 	// Every chunk must survive the loss of any single server: the
-	// batched path must have replicated exactly like per-chunk writes.
+	// batched path must have replicated every extent.
 	tc.servers[0].Crash()
 	waitUntil(t, 20*time.Second, func() bool {
 		return !tc.servers[1].State().Alive["p0"]

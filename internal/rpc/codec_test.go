@@ -16,11 +16,11 @@ import (
 // hatch, with presence edge cases (nil vs empty data, holes).
 func sampleEnvelopes() []rpc.Envelope {
 	return []rpc.Envelope{
-		{ID: 1, Body: petal.ReadReq{VDisk: "vd", Chunk: 7, Off: 512, Len: 4096}},
-		{ID: 1, IsReply: true, Trace: 99, Span: 7, Principal: "tenant-7", Body: petal.ReadResp{OK: true, Data: []byte("hello")}},
-		{ID: 2, IsReply: true, Body: petal.ReadResp{OK: true, Data: nil}},           // hole
-		{ID: 3, IsReply: true, Body: petal.ReadResp{OK: true, Data: []byte{}}},      // present, empty
-		{ID: 4, IsReply: true, Body: petal.ReadResp{OK: false, Err: "petal: boom"}}, // error
+		{ID: 1, Body: petal.ReadVReq{VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 7, Off: 512, Len: 4096}}}},
+		{ID: 1, IsReply: true, Trace: 99, Span: 7, Principal: "tenant-7", Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte("hello")}}}},
+		{ID: 2, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: nil}}}},      // hole
+		{ID: 3, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{{OK: true, Data: []byte{}}}}}, // present, empty
+		{ID: 4, IsReply: true, Body: petal.ReadVResp{OK: false, Err: "petal: boom"}},                                            // batch error
 		{ID: 5, Body: petal.ReadVReq{VDisk: "vd", Extents: []petal.ReadVExtent{{Chunk: 1, Off: 0, Len: 8}, {Chunk: 2, Off: 100, Len: 9}}}},
 		{ID: 5, IsReply: true, Body: petal.ReadVResp{OK: true, Results: []petal.ReadVExtentResult{
 			{OK: true, Data: []byte("abc")},
@@ -28,8 +28,8 @@ func sampleEnvelopes() []rpc.Envelope {
 			{OK: false, Err: "crc"},           // extent-local failure
 			{OK: true, Data: []byte{1, 2, 3}}, // more data after failure
 		}}},
-		{ID: 6, Trace: 1, Span: 2, Body: petal.WriteReq{VDisk: "vd", Chunk: 9, Off: 1024, Data: []byte("payload"), Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3}},
-		{ID: 6, IsReply: true, Body: petal.WriteResp{OK: true}},
+		{ID: 6, Trace: 1, Span: 2, Body: petal.WriteVReq{VDisk: "vd", Extents: []petal.WriteVExtent{{Chunk: 9, Off: 1024, Data: []byte("payload")}}, Forwarded: true, ExpireAt: -5, LeaseID: 42, Epoch: 3}},
+		{ID: 6, IsReply: true, Body: petal.WriteVResp{OK: true}},
 		{ID: 7, Body: petal.WriteVReq{VDisk: "vd", ExpireAt: 11, LeaseID: 5, Epoch: 2, Extents: []petal.WriteVExtent{
 			{Chunk: 0, Off: 0, Data: []byte("aa")},
 			{Chunk: 1, Off: 512, Data: nil},
@@ -109,7 +109,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})                                                              // empty
 	f.Add([]byte{0xC8, 0xFF, 0xFF})                                              // unknown tag
 	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // oversized varint
-	f.Add([]byte{5, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})                            // oversized header length
+	f.Add([]byte{petal.TagWriteVReq, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})           // oversized header length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, _, err := rpc.DecodeMessage(data, nil)
 		if err != nil {

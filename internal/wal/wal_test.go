@@ -325,7 +325,7 @@ func TestConcurrentFlushGroupCommit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				n := w*perWorker + i
-				_, err := l.Append([]Update{upd(int64(n)*512, 0, uint64(n+1), byte(n), byte(n >> 8))})
+				_, err := l.Append([]Update{upd(int64(n)*512, 0, uint64(n+1), byte(n), byte(n>>8))})
 				if err != nil {
 					errs <- err
 					return
