@@ -375,81 +375,6 @@ func (o Options) AblationSyncLog() (*Table, error) {
 	return t, nil
 }
 
-// WritebackPipeline measures the pipelined write-back path: the same
-// dirty-page workload is flushed once through the serial path
-// (FlushParallelism=1, one Petal write per coalesced run) and once
-// through the pipelined path (scatter-gather WriteV batches dispatched
-// by a worker pool), comparing update-demon Sync latency and Petal
-// write-RPC counts.
-func (o Options) WritebackPipeline() (*Table, error) {
-	t := &Table{
-		ID:     "Write-back pipeline",
-		Title:  "Sync latency and Petal write RPCs: serial vs pipelined write-back",
-		Header: []string{"Mode", "Sync (ms)", "write RPCs", "of which WriteV", "flush runs"},
-		Notes:  "Same dirty set both rows; WriteV carries many coalesced runs per RPC and runs flush concurrently, so both latency and RPC count drop.",
-	}
-	files := 24
-	if o.Quick {
-		files = 12
-	}
-	for _, mode := range []struct {
-		name string
-		par  int
-	}{
-		{"serial (par=1)", 1},
-		{"pipelined (par=8)", 8},
-	} {
-		c, err := o.newCluster(true, nil)
-		if err != nil {
-			return nil, err
-		}
-		fss, err := mountN(c, 1, func(fc *frangipani.Config) { fc.FlushParallelism = mode.par })
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		f := fss[0]
-		if err := f.Mkdir("/wb"); err != nil {
-			c.Close()
-			return nil, err
-		}
-		buf := make([]byte, 32<<10)
-		for i := range buf {
-			buf[i] = byte(i * 31)
-		}
-		for i := 0; i < files; i++ {
-			h, err := f.OpenFile(fmt.Sprintf("/wb/f%d", i), true)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			if _, err := h.WriteAt(buf, 0); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		before := f.PetalStats()
-		start := c.World.Clock.Now()
-		if err := f.Sync(); err != nil {
-			c.Close()
-			return nil, err
-		}
-		dur := sim.Duration(c.World.Clock.Now() - start)
-		after := f.PetalStats()
-		st := f.Stats()
-		c.Close()
-		rpcs := (after.WriteRPCs + after.WriteVRPCs) - (before.WriteRPCs + before.WriteVRPCs)
-		t.Rows = append(t.Rows, []string{
-			mode.name,
-			ms(dur),
-			fmt.Sprintf("%d", rpcs),
-			fmt.Sprintf("%d", after.WriteVRPCs-before.WriteVRPCs),
-			fmt.Sprintf("%d", st.FlushRuns),
-		})
-	}
-	return t, nil
-}
-
 // SmallReads reproduces the §9.2 small-file experiment: 30 readers of
 // separate 8 KB files on one machine, cold cache (CPU-bound in the
 // paper at 6.3 of 8 MB/s).
@@ -488,93 +413,44 @@ func (o Options) SmallReads() (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in order.
-func (o Options) All() ([]*Table, error) {
-	type exp struct {
-		name string
-		fn   func() (*Table, error)
-	}
-	exps := []exp{
-		{"table1", o.Table1MAB},
-		{"table2", o.Table2Connectathon},
-		{"table3", o.Table3Throughput},
-		{"fig5", o.Fig5ScalingMAB},
-		{"fig6", o.Fig6ReadScaling},
-		{"fig7", func() (*Table, error) { return o.Fig7WriteScaling(false) }},
-		{"fig7-norepl", func() (*Table, error) { return o.Fig7WriteScaling(true) }},
-		{"fig8", o.Fig8Contention},
-		{"fig9", o.Fig9SharedSize},
-		{"wshare", o.WriteSharing},
-		{"smallreads", o.SmallReads},
-		{"ablation-synclog", o.AblationSyncLog},
-		{"writeback-pipeline", o.WritebackPipeline},
-		{"read-scaling", o.ReadScaling},
-		{"obs-overhead", o.ObsOverhead},
-		{"obs-smoke", o.ObsSmoke},
-		{"codec-mux", o.CodecMux},
-		{"lock-scaling", o.LockScaling},
-		{"scale-sweep", o.ScaleSweep},
-		{"forensics-smoke", o.ForensicsSmoke},
-		{"noisy-neighbor-obs", o.NoisyNeighborObs},
-	}
-	var out []*Table
-	for _, e := range exps {
-		tb, err := e.fn()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.name, err)
-		}
-		out = append(out, tb)
-	}
-	return out, nil
+// Experiment is one named entry of the registry.
+type Experiment struct {
+	Name string
+	Run  func(Options) (*Table, error)
+}
+
+// Experiments lists every experiment in run order; ByName,
+// `frangibench -list` and its run-all loop read it.
+var Experiments = []Experiment{
+	{"table1", Options.Table1MAB},
+	{"table2", Options.Table2Connectathon},
+	{"table3", Options.Table3Throughput},
+	{"fig5", Options.Fig5ScalingMAB},
+	{"fig6", Options.Fig6ReadScaling},
+	{"fig7", func(o Options) (*Table, error) { return o.Fig7WriteScaling(false) }},
+	{"fig7-norepl", func(o Options) (*Table, error) { return o.Fig7WriteScaling(true) }},
+	{"fig8", Options.Fig8Contention},
+	{"fig9", Options.Fig9SharedSize},
+	{"wshare", Options.WriteSharing},
+	{"smallreads", Options.SmallReads},
+	{"ablation-synclog", Options.AblationSyncLog},
+	{"read-scaling", Options.ReadScaling},
+	{"obs-overhead", Options.ObsOverhead},
+	{"obs-smoke", Options.ObsSmoke},
+	{"contention-profile", Options.ContentionProfile},
+	{"codec-mux", Options.CodecMux},
+	{"lock-scaling", Options.LockScaling},
+	{"scale-sweep", Options.ScaleSweep},
+	{"forensics-smoke", Options.ForensicsSmoke},
+	{"noisy-neighbor-obs", Options.NoisyNeighborObs},
 }
 
 // ByName runs one experiment by its short name.
 func (o Options) ByName(name string) (*Table, error) {
-	switch name {
-	case "table1":
-		return o.Table1MAB()
-	case "table2":
-		return o.Table2Connectathon()
-	case "table3":
-		return o.Table3Throughput()
-	case "fig5":
-		return o.Fig5ScalingMAB()
-	case "fig6":
-		return o.Fig6ReadScaling()
-	case "fig7":
-		return o.Fig7WriteScaling(false)
-	case "fig7-norepl":
-		return o.Fig7WriteScaling(true)
-	case "fig8":
-		return o.Fig8Contention()
-	case "fig9":
-		return o.Fig9SharedSize()
-	case "wshare":
-		return o.WriteSharing()
-	case "smallreads":
-		return o.SmallReads()
-	case "ablation-synclog":
-		return o.AblationSyncLog()
-	case "writeback-pipeline":
-		return o.WritebackPipeline()
-	case "read-scaling":
-		return o.ReadScaling()
-	case "obs-overhead":
-		return o.ObsOverhead()
-	case "obs-smoke":
-		return o.ObsSmoke()
-	case "contention-profile":
-		return o.ContentionProfile()
-	case "codec-mux":
-		return o.CodecMux()
-	case "lock-scaling":
-		return o.LockScaling()
-	case "scale-sweep":
-		return o.ScaleSweep()
-	case "forensics-smoke":
-		return o.ForensicsSmoke()
-	case "noisy-neighbor-obs":
-		return o.NoisyNeighborObs()
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e.Run(o)
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q", name)
 }

@@ -9,14 +9,14 @@ import (
 	"frangipani/internal/sim"
 )
 
-// wbSyncLatency runs the write-back pipeline workload (the PR 1
-// benchmark: 24 files x 32 KB dirtied, then one update-demon Sync)
-// and returns the Sync latency. noObs disables the metrics registry
-// and tracer so the difference between the two runs is pure
-// instrumentation overhead; noJournal keeps metrics and tracing but
-// turns off just the flight recorder, isolating the recorder's cost;
-// noAcct likewise isolates the per-principal account table.
-func (o Options) wbSyncLatency(par int, noObs, noJournal, noAcct bool) (sim.Duration, error) {
+// wbSyncLatency runs a write-back workload (24 files x 32 KB
+// dirtied, then one update-demon Sync) and returns the Sync latency.
+// noObs disables the metrics registry and tracer so the difference
+// between the two runs is pure instrumentation overhead; noJournal
+// keeps metrics and tracing but turns off just the flight recorder,
+// isolating the recorder's cost; noAcct likewise isolates the
+// per-principal account table.
+func (o Options) wbSyncLatency(noObs, noJournal, noAcct bool) (sim.Duration, error) {
 	c, err := o.newCluster(true, func(cc *frangipani.ClusterConfig) {
 		cc.NoObs = noObs
 		cc.NoAccounting = noAcct
@@ -28,7 +28,7 @@ func (o Options) wbSyncLatency(par int, noObs, noJournal, noAcct bool) (sim.Dura
 	if noJournal {
 		c.Obs().SetJournal(false)
 	}
-	fss, err := mountN(c, 1, func(fc *frangipani.Config) { fc.FlushParallelism = par })
+	fss, err := mountN(c, 1, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -61,19 +61,18 @@ func (o Options) wbSyncLatency(par int, noObs, noJournal, noAcct bool) (sim.Dura
 }
 
 // ObsOverhead measures the cost of the observability layer: the
-// write-back pipeline workload run with the full metrics registry and
-// tracer enabled versus the NoObs ablation, for both the serial and
-// pipelined flush paths. The acceptance budget is <= 5% added Sync
-// latency. A third row isolates the flight recorder (obs on, journal
-// on vs off) and FAILS the experiment if the recorder alone adds more
-// than 1% to the serial path — the PR 7 overhead budget, enforced in
-// CI.
+// write-back workload run with the full metrics registry and tracer
+// enabled versus the NoObs ablation. The acceptance budget is <= 5%
+// added Sync latency. Two more rows isolate the flight recorder (obs
+// on, journal on vs off) and the per-principal account table, and
+// FAIL the experiment if either alone adds more than 1% to Sync
+// latency; CI enforces both.
 func (o Options) ObsOverhead() (*Table, error) {
 	t := &Table{
 		ID:     "Observability overhead",
 		Title:  "Sync latency with and without metrics/tracing instrumentation",
 		Header: []string{"Mode", "obs on (ms)", "obs off (ms)", "overhead"},
-		Notes:  "Latencies are simulated time; instrumentation runs on the host, so overhead only shows up when host-side work delays simulated events. Budget: <= 5% for the full obs stack, <= 1% for the flight recorder alone (serial).",
+		Notes:  "Latencies are simulated time; instrumentation runs on the host, so overhead only shows up when host-side work delays simulated events. Budget: <= 5% for the full obs stack, <= 1% each for the flight recorder and the account table alone.",
 	}
 	trials := 3
 	if o.Quick {
@@ -81,10 +80,10 @@ func (o Options) ObsOverhead() (*Table, error) {
 	}
 	// Host scheduling noise leaks into simulated latency; the minimum
 	// over trials isolates the intrinsic cost of the instrumentation.
-	best := func(par, trials int, noObs, noJournal bool) (sim.Duration, error) {
+	best := func(noObs bool) (sim.Duration, error) {
 		var min sim.Duration
 		for i := 0; i < trials; i++ {
-			d, err := o.wbSyncLatency(par, noObs, noJournal, false)
+			d, err := o.wbSyncLatency(noObs, false, false)
 			if err != nil {
 				return 0, err
 			}
@@ -94,29 +93,21 @@ func (o Options) ObsOverhead() (*Table, error) {
 		}
 		return min, nil
 	}
-	for _, mode := range []struct {
-		name string
-		par  int
-	}{
-		{"serial (par=1)", 1},
-		{"pipelined (par=8)", 8},
-	} {
-		on, err := best(mode.par, trials, false, false)
-		if err != nil {
-			return nil, err
-		}
-		off, err := best(mode.par, trials, true, false)
-		if err != nil {
-			return nil, err
-		}
-		overhead := 0.0
-		if off > 0 {
-			overhead = (float64(on) - float64(off)) / float64(off) * 100
-		}
-		t.Rows = append(t.Rows, []string{
-			mode.name, ms(on), ms(off), fmt.Sprintf("%+.1f%%", overhead),
-		})
+	on, err := best(false)
+	if err != nil {
+		return nil, err
 	}
+	off, err := best(true)
+	if err != nil {
+		return nil, err
+	}
+	overhead := 0.0
+	if off > 0 {
+		overhead = (float64(on) - float64(off)) / float64(off) * 100
+	}
+	t.Rows = append(t.Rows, []string{
+		"full obs stack", ms(on), ms(off), fmt.Sprintf("%+.1f%%", overhead),
+	})
 	// Recorder ablation: same workload, metrics and tracing on in both
 	// runs, only the journal differs. This row is a CI gate, so it
 	// gets full noise isolation regardless of -quick: the full (24
@@ -166,17 +157,17 @@ func (o Options) ObsOverhead() (*Table, error) {
 		return
 	}
 	withJr, noJr, jrOverhead, err := gated(
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, false, false) },
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, true, false) },
+		func() (sim.Duration, error) { return oj.wbSyncLatency(false, false, false) },
+		func() (sim.Duration, error) { return oj.wbSyncLatency(false, true, false) },
 	)
 	if err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, []string{
-		"serial, recorder only", ms(withJr), ms(noJr), fmt.Sprintf("%+.1f%%", jrOverhead),
+		"recorder only", ms(withJr), ms(noJr), fmt.Sprintf("%+.1f%%", jrOverhead),
 	})
 	if jrOverhead > 1.0 {
-		return nil, fmt.Errorf("obs-overhead: flight recorder adds %.1f%% to serial Sync latency (budget 1%%)", jrOverhead)
+		return nil, fmt.Errorf("obs-overhead: flight recorder adds %.1f%% to Sync latency (budget 1%%)", jrOverhead)
 	}
 	// Accounting ablation: metrics, tracing, and journal identical in
 	// both runs, only the per-principal account table differs (this
@@ -184,17 +175,17 @@ func (o Options) ObsOverhead() (*Table, error) {
 	// charge-to-"unknown" work). Same CI gate and noise isolation as
 	// the recorder row.
 	withAcct, noAcct, acctOverhead, err := gated(
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, false, false) },
-		func() (sim.Duration, error) { return oj.wbSyncLatency(1, false, false, true) },
+		func() (sim.Duration, error) { return oj.wbSyncLatency(false, false, false) },
+		func() (sim.Duration, error) { return oj.wbSyncLatency(false, false, true) },
 	)
 	if err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, []string{
-		"serial, accounting only", ms(withAcct), ms(noAcct), fmt.Sprintf("%+.1f%%", acctOverhead),
+		"accounting only", ms(withAcct), ms(noAcct), fmt.Sprintf("%+.1f%%", acctOverhead),
 	})
 	if acctOverhead > 1.0 {
-		return nil, fmt.Errorf("obs-overhead: accounting adds %.1f%% to serial Sync latency (budget 1%%)", acctOverhead)
+		return nil, fmt.Errorf("obs-overhead: accounting adds %.1f%% to Sync latency (budget 1%%)", acctOverhead)
 	}
 	return t, nil
 }

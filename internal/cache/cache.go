@@ -36,7 +36,7 @@ type Entry struct {
 	// Owner is the lock id covering this block.
 	Owner uint64
 
-	gen  int64 // bumped on every MarkDirty; guards MarkCleanIf
+	gen  int64 // bumped on every MarkDirty; guards MarkFlushed
 	elem *list.Element
 }
 
@@ -223,30 +223,10 @@ func (p *Pool) MarkDirty(e *Entry, seq int64) {
 	p.mu.Unlock()
 }
 
-// Gen returns the entry's dirty generation; a flusher snapshots it
-// before copying the data out.
-func (p *Pool) Gen(e *Entry) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return e.gen
-}
-
-// GenBatch snapshots the dirty generations of a set of entries with
-// one lock acquisition; batch flushers snapshot before copying data
-// out, then clear with MarkCleanIfBatch.
-func (p *Pool) GenBatch(es []*Entry) []int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int64, len(es))
-	for i, e := range es {
-		out[i] = e.gen
-	}
-	return out
-}
-
 // SnapshotBatch copies each entry's block into buf (which must hold
 // len(es) blocks) and returns the dirty generations, all under one
-// lock acquisition. Owners mutate Data through Mutate, so a flusher
+// lock acquisition; the flusher clears the entries with MarkFlushed
+// after the write. Owners mutate Data through Mutate, so a flusher
 // snapshot never observes a torn concurrent update.
 func (p *Pool) SnapshotBatch(es []*Entry, buf []byte) []int64 {
 	p.mu.Lock()
@@ -268,10 +248,11 @@ func (p *Pool) Mutate(fn func()) {
 	p.mu.Unlock()
 }
 
-// MarkCleanIfBatch clears the dirty flag of every entry whose
+// MarkFlushed clears the dirty flag of every entry whose
 // generation still matches the flusher's snapshot, with one lock
-// acquisition. Entries re-dirtied since keep their flag.
-func (p *Pool) MarkCleanIfBatch(es []*Entry, gens []int64) {
+// acquisition. Entries re-dirtied since keep their flag, or the newer
+// update would silently lose its write-back.
+func (p *Pool) MarkFlushed(es []*Entry, gens []int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, e := range es {
@@ -285,17 +266,6 @@ func (p *Pool) MarkCleanIfBatch(es []*Entry, gens []int64) {
 func (p *Pool) MarkClean(e *Entry) {
 	p.mu.Lock()
 	e.Dirty = false
-	p.mu.Unlock()
-}
-
-// MarkCleanIf clears the dirty flag only if the entry has not been
-// re-dirtied since the flusher snapshotted generation gen — otherwise
-// the newer update would silently lose its write-back.
-func (p *Pool) MarkCleanIf(e *Entry, gen int64) {
-	p.mu.Lock()
-	if e.gen == gen {
-		e.Dirty = false
-	}
 	p.mu.Unlock()
 }
 

@@ -392,6 +392,7 @@ func (fs *FS) maybePrefetch(inum int64, in Inode, readPos int64, pages int) {
 		end = in.Size
 	}
 	fs.raMu.Lock()
+	defer fs.raMu.Unlock()
 	from := fs.raHigh[inum]
 	if from < readPos {
 		from = readPos
@@ -409,16 +410,12 @@ func (fs *FS) maybePrefetch(inum int64, in Inode, readPos int64, pages int) {
 		to = end
 	}
 	if fs.raBusy[inum] >= 2 || from >= end {
-		fs.raMu.Unlock()
 		return
 	}
-	fs.raBusy[inum]++
-	fs.raHigh[inum] = to
-	fs.raMu.Unlock()
 	end = to
 
 	lock := InodeLock(inum)
-	go func() {
+	if !fs.goBackground(func() {
 		defer func() {
 			fs.raMu.Lock()
 			fs.raBusy[inum]--
@@ -501,7 +498,12 @@ func (fs *FS) maybePrefetch(inum int64, in Inode, readPos int64, pages int) {
 			// Lock lost mid-prefetch: the data is discarded.
 			fs.m.raWasted.Add(int64(total))
 		}
-	}()
+	}) {
+		return
+	}
+	// The goroutine's decrement waits for raMu, so it follows these.
+	fs.raBusy[inum]++
+	fs.raHigh[inum] = to
 }
 
 // Truncate sets the file's size, freeing (and for the large block,

@@ -11,13 +11,12 @@ import (
 // TestSyncConcurrentWithWrites drives the update demon path by hand
 // while foreground writers keep dirtying pages, exercising the
 // pipelined write-back (snapshot generations, scatter-gather
-// dispatch, MarkCleanIfBatch) under the race detector. Every byte
+// dispatch, MarkFlushed) under the race detector. Every byte
 // written must be readable afterwards, from this server and — after
 // an unmount — from a fresh one.
 func TestSyncConcurrentWithWrites(t *testing.T) {
 	tw := newTestWorld(t)
 	f := tw.mount(t, "m0", func(c *Config) {
-		c.FlushParallelism = 8
 		c.SyncEvery = time.Hour // we drive Sync ourselves
 	})
 
@@ -92,7 +91,7 @@ func TestSyncConcurrentWithWrites(t *testing.T) {
 		}
 	}
 	st := f.Stats()
-	if st.FlushRuns == 0 || st.FlushPages == 0 {
+	if st.FlushBatches == 0 || st.FlushRuns == 0 || st.FlushPages == 0 {
 		t.Fatalf("pipeline counters empty: %+v", st)
 	}
 	t.Logf("batches=%d runs=%d pages=%d peak=%d",
@@ -114,35 +113,37 @@ func TestSyncConcurrentWithWrites(t *testing.T) {
 	}
 }
 
-// TestFlushParallelismEquivalence writes the same tree through the
-// serial (FlushParallelism=1) and pipelined paths and checks both
-// come back bit-identical on a fresh mount.
-func TestFlushParallelismEquivalence(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			tw := newTestWorld(t)
-			f := tw.mount(t, "m0", func(c *Config) { c.FlushParallelism = par })
-			var want [][]byte
-			for i := 0; i < 6; i++ {
-				data := bytes.Repeat([]byte{byte(i + 1)}, (i+1)*17*1024)
-				writeFile(t, f, fmt.Sprintf("/f%d", i), data)
-				want = append(want, data)
-			}
-			if err := f.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if par > 1 && f.Stats().FlushBatches == 0 {
-				t.Fatal("pipelined path never dispatched a batch")
-			}
-			if err := f.Unmount(); err != nil {
-				t.Fatal(err)
-			}
-			f2 := tw.mount(t, "m1", nil)
-			for i, data := range want {
-				if got := readFile(t, f2, fmt.Sprintf("/f%d", i)); !bytes.Equal(got, data) {
-					t.Fatalf("file %d differs (par=%d)", i, par)
-				}
-			}
-		})
+// TestDirtyEvictionUsesBatchPath writes a file with more dirty pages
+// than the data cache holds (but fewer than the write-behind
+// threshold), so the cache must evict dirty pages before any Sync.
+// Those evictions go through the batched write-back path, and the
+// bytes they wrote must survive on a second server.
+func TestDirtyEvictionUsesBatchPath(t *testing.T) {
+	tw := newTestWorld(t)
+	f := tw.mount(t, "m0", func(c *Config) {
+		c.DataCacheCap = 64
+		c.SyncEvery = time.Hour // no update demon before the assertion
+	})
+	data := make([]byte, 1<<20)
+	for i := range data {
+		data[i] = byte(i*7 + i>>12)
+	}
+	writeFile(t, f, "/big", data)
+	if st := f.Stats(); st.FlushBatches == 0 {
+		t.Fatalf("dirty evictions bypassed the batch path: %+v", st)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f2 := tw.mount(t, "m1", nil)
+	if got := readFile(t, f2, "/big"); !bytes.Equal(got, data) {
+		t.Fatal("file differs on the second server")
+	}
+	rep, err := Check(tw.client("chk"), tw.vd, tw.lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Problems {
+		t.Errorf("fsck: %s %s", p.Kind, p.Msg)
 	}
 }

@@ -46,13 +46,6 @@ type Config struct {
 	// ReadAhead is the number of 4 KB pages prefetched on sequential
 	// reads; 0 disables it (the Figure 8 experiment).
 	ReadAhead int
-	// FlushParallelism bounds concurrent write-back dispatches in the
-	// sync demon and lock-revocation flushes. Values <= 1 select the
-	// serial path: one synchronous Petal RPC per coalesced run. Higher
-	// values enable the write-back pipeline: runs are packed into
-	// scatter-gather WriteV batches and dispatched through a bounded
-	// worker pool, overlapping Petal transfers.
-	FlushParallelism int
 	// Cache capacities, in blocks.
 	MetaCacheCap int
 	DataCacheCap int
@@ -74,15 +67,14 @@ type Config struct {
 // DefaultConfig returns paper-flavored settings.
 func DefaultConfig() Config {
 	return Config{
-		SyncEvery:        30 * time.Second,
-		LeaseMargin:      lockservice.DefaultLeaseMargin,
-		ReadAhead:        64,    // 256 KB window: four chunk-parallel Petal reads in flight
-		FlushParallelism: 8,     // pipelined write-back, 8 batches in flight
-		MetaCacheCap:     16384, // 8 MB of sectors
-		DataCacheCap:     8192,  // 32 MB of pages
-		CPUPerOp:         150 * time.Microsecond,
-		CPUPerKB:         25 * time.Microsecond,
-		Lock:             lockservice.DefaultConfig(),
+		SyncEvery:    30 * time.Second,
+		LeaseMargin:  lockservice.DefaultLeaseMargin,
+		ReadAhead:    64,    // 256 KB window: four chunk-parallel Petal reads in flight
+		MetaCacheCap: 16384, // 8 MB of sectors
+		DataCacheCap: 8192,  // 32 MB of pages
+		CPUPerOp:     150 * time.Microsecond,
+		CPUPerKB:     25 * time.Microsecond,
+		Lock:         lockservice.DefaultConfig(),
 	}
 }
 
@@ -230,6 +222,9 @@ type FS struct {
 	acct *obs.AccountTable // per-principal accounting (nil-safe)
 
 	syncCancel func()
+	// bg counts the write-behind and prefetch goroutines; Unmount and
+	// Crash wait for them.
+	bg sync.WaitGroup
 }
 
 // Mkfs initializes a Frangipani file system on an (empty) Petal
@@ -315,8 +310,10 @@ func Mount(w *sim.World, machine string, pc *petal.Client, vd petal.VDiskID,
 	}
 	fs.meta.SetObs(w.Obs, machine+".meta")
 	fs.data.SetObs(w.Obs, machine+".data")
-	fs.meta.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(nil, fs.meta, e) })
-	fs.data.SetFlusher(func(e *cache.Entry) error { return fs.flushEntry(nil, fs.data, e) })
+	// Dirty evictions take the same write-back path as Sync: a
+	// one-block run in a one-extent WriteV batch, log first.
+	fs.meta.SetFlusher(func(e *cache.Entry) error { return fs.flushRuns(nil, fs.meta, []*cache.Entry{e}) })
+	fs.data.SetFlusher(func(e *cache.Entry) error { return fs.flushRuns(nil, fs.data, []*cache.Entry{e}) })
 
 	carrier := cfg.Carrier
 	if carrier == nil {
@@ -364,8 +361,7 @@ func (fs *FS) LogSlot() int { return fs.logSlot }
 // Clerk exposes the lock clerk (tests and the backup tool use it).
 func (fs *FS) Clerk() *lockservice.Clerk { return fs.clerk }
 
-// PetalStats snapshots the underlying Petal driver's write-path RPC
-// counters (benchmarks compare serial vs scatter-gather write-back).
+// PetalStats snapshots the underlying Petal driver's RPC counters.
 func (fs *FS) PetalStats() petal.ClientStats { return fs.pc.Stats() }
 
 // Stats returns a snapshot of the server's counters (a compatibility
@@ -490,6 +486,7 @@ func (fs *FS) Unmount() error {
 	fs.mu.Lock()
 	fs.closed = true
 	fs.mu.Unlock()
+	fs.bg.Wait()
 	if fs.syncCancel != nil {
 		fs.syncCancel()
 	}
@@ -512,6 +509,7 @@ func (fs *FS) Crash() {
 		fs.syncCancel()
 	}
 	fs.clerk.Abandon()
+	fs.bg.Wait()
 }
 
 // Poisoned reports whether the server has shut itself off after
@@ -520,6 +518,23 @@ func (fs *FS) Poisoned() bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.poisoned
+}
+
+// goBackground runs fn on a goroutine that Unmount and Crash wait
+// for. It starts nothing once the server is closed and reports
+// whether fn was started.
+func (fs *FS) goBackground(fn func()) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.closed {
+		return false
+	}
+	fs.bg.Add(1)
+	go func() {
+		defer fs.bg.Done()
+		fn()
+	}()
+	return true
 }
 
 func (fs *FS) usable() error {
@@ -780,22 +795,6 @@ func (fs *FS) ensureLogFlushed(sp *obs.Span, seq int64) error {
 	return nil
 }
 
-// flushEntry makes one dirty entry durable, honoring write-ahead
-// order: the log is forced through the entry's sequence first.
-func (fs *FS) flushEntry(sp *obs.Span, pool *cache.Pool, e *cache.Entry) error {
-	if err := fs.ensureLogFlushed(sp, pool.EntrySeq(e)); err != nil {
-		return err
-	}
-	buf := make([]byte, pool.BlockSize())
-	gens := pool.SnapshotBatch([]*cache.Entry{e}, buf)
-	if err := fs.petalWrite(sp, e.Addr, buf); err != nil {
-		return err
-	}
-	fs.m.bytesWritten.Add(int64(len(buf)))
-	pool.MarkCleanIf(e, gens[0])
-	return nil
-}
-
 // ---- transactions ----
 
 // lockExtraMode is the mode for mid-operation extra locks.
@@ -963,9 +962,9 @@ func (t *txn) releaseSegs() {
 // Sync is the update demon body: force the log, write back all dirty
 // blocks, then let the log reclaim the records ("the permanent
 // locations are updated periodically (roughly every 30 seconds) by
-// the update demon", §4). With FlushParallelism > 1 metadata and data
-// write-back proceed concurrently through the pipelined path; each
-// batch still honors the per-entry log-before-data rule.
+// the update demon", §4). Metadata and data write-back proceed
+// concurrently; each batch still honors the per-entry log-before-data
+// rule.
 func (fs *FS) Sync() error {
 	return fs.traced("sync", fs.sync)
 }
@@ -988,23 +987,14 @@ func (fs *FS) sync(sp *obs.Span) error {
 	}
 	fs.mu.Unlock()
 
-	var metaErr, dataErr error
-	if fs.cfg.FlushParallelism > 1 {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			metaErr = fs.flushRuns(sp, fs.meta, fs.meta.AllDirty())
-		}()
-		go func() {
-			defer wg.Done()
-			dataErr = fs.flushRuns(sp, fs.data, fs.data.AllDirty())
-		}()
-		wg.Wait()
-	} else {
+	var metaErr error
+	metaDone := make(chan struct{})
+	go func() {
+		defer close(metaDone)
 		metaErr = fs.flushRuns(sp, fs.meta, fs.meta.AllDirty())
-		dataErr = fs.flushRuns(sp, fs.data, fs.data.AllDirty())
-	}
+	}()
+	dataErr := fs.flushRuns(sp, fs.data, fs.data.AllDirty())
+	<-metaDone
 	firstErr := metaErr
 	if firstErr == nil {
 		firstErr = dataErr
@@ -1021,18 +1011,15 @@ func (fs *FS) sync(sp *obs.Span) error {
 func (fs *FS) writeBehind() {
 	const threshold = 512 // pages (2 MB)
 	fs.wbMu.Lock()
+	defer fs.wbMu.Unlock()
 	if fs.wbBusy {
-		fs.wbMu.Unlock()
 		return
 	}
 	dirty := fs.data.AllDirty()
 	if len(dirty) < threshold {
-		fs.wbMu.Unlock()
 		return
 	}
-	fs.wbBusy = true
-	fs.wbMu.Unlock()
-	go func() {
+	fs.wbBusy = fs.goBackground(func() {
 		// Pages are coalesced into large runs — the paper's
 		// "clustering writes to Petal into naturally aligned 64 KB
 		// blocks" — which the Petal driver transfers chunk-parallel.
@@ -1040,7 +1027,7 @@ func (fs *FS) writeBehind() {
 		fs.wbMu.Lock()
 		fs.wbBusy = false
 		fs.wbMu.Unlock()
-	}()
+	})
 }
 
 // flushRun is one coalesced write-back unit: contiguous dirty blocks
@@ -1059,7 +1046,7 @@ const maxRunBytes = 1 << 20
 // coalesceRuns sorts dirty entries by address and groups adjacent
 // blocks into runs, snapshotting generations and data. Generations
 // are taken before the copy so a concurrent re-dirty keeps the entry
-// dirty (MarkCleanIfBatch will skip it).
+// dirty (MarkFlushed will skip it).
 func coalesceRuns(pool *cache.Pool, dirty []*cache.Entry) []flushRun {
 	blockSize := pool.BlockSize()
 	sort.Slice(dirty, func(a, b int) bool { return dirty[a].Addr < dirty[b].Addr })
@@ -1088,12 +1075,16 @@ func coalesceRuns(pool *cache.Pool, dirty []*cache.Entry) []flushRun {
 // further splits batches by replica server.
 const maxBatchBytes = 1 << 20
 
-// flushRuns writes back a set of dirty entries from one pool,
-// log-first. Serial mode (FlushParallelism <= 1) issues one Petal
-// write per coalesced run; pipelined mode packs runs into
-// scatter-gather batches and dispatches them through a bounded worker
-// pool, so one cache-sync round trip carries many runs and transfers
-// overlap.
+// flushParallelism bounds the write-back batches in flight per
+// flushRuns call. Each pool's dirty set usually fits one batch, and
+// the Petal driver fans a batch out across servers itself.
+const flushParallelism = 8
+
+// flushRuns is the only way a dirty cache block reaches Petal (Sync,
+// revocation, log reclaim, write-behind and dirty eviction all call
+// it): log first, then the blocks, coalesced into runs, packed into
+// scatter-gather batches and dispatched through a bounded worker
+// pool, so one round trip carries many runs and transfers overlap.
 func (fs *FS) flushRuns(sp *obs.Span, pool *cache.Pool, dirty []*cache.Entry) error {
 	if len(dirty) == 0 {
 		return nil
@@ -1104,16 +1095,6 @@ func (fs *FS) flushRuns(sp *obs.Span, pool *cache.Pool, dirty []*cache.Entry) er
 		return err
 	}
 	runs := coalesceRuns(pool, dirty)
-	if fs.cfg.FlushParallelism <= 1 {
-		var firstErr error
-		for _, r := range runs {
-			if err := fs.writeRun(sp, pool, r); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	// Pack runs into batches and dispatch through the worker pool.
 	var batches [][]flushRun
 	var cur []flushRun
 	bytes := 0
@@ -1129,18 +1110,6 @@ func (fs *FS) flushRuns(sp *obs.Span, pool *cache.Pool, dirty []*cache.Entry) er
 	return fs.flushWorkers(len(batches), func(i int) error {
 		return fs.writeRunBatch(sp, pool, batches[i])
 	})
-}
-
-// writeRun writes one coalesced run synchronously (serial path).
-func (fs *FS) writeRun(sp *obs.Span, pool *cache.Pool, r flushRun) error {
-	if err := fs.petalWrite(sp, r.addr, r.buf); err != nil {
-		return err
-	}
-	pool.MarkCleanIfBatch(r.entries, r.gens)
-	fs.m.bytesWritten.Add(int64(len(r.buf)))
-	fs.m.flushRuns.Inc()
-	fs.m.flushPages.Add(int64(len(r.entries)))
-	return nil
 }
 
 // writeRunBatch sends one batch of runs as a single scatter-gather
@@ -1159,55 +1128,44 @@ func (fs *FS) writeRunBatch(sp *obs.Span, pool *cache.Pool, batch []flushRun) er
 	fs.m.flushBatches.Inc()
 	fs.m.flushRuns.Add(int64(len(batch)))
 	for _, r := range batch {
-		pool.MarkCleanIfBatch(r.entries, r.gens)
+		pool.MarkFlushed(r.entries, r.gens)
 		fs.m.flushPages.Add(int64(len(r.entries)))
 	}
 	return nil
 }
 
 // flushWorkers runs fn(i) for every i in [0, n) on up to
-// FlushParallelism workers, tracking the in-flight peak. All n run
-// regardless of failures; the first error is returned.
+// flushParallelism workers, tracking the in-flight peak; a single
+// batch runs inline. All n run regardless of failures; the first
+// error is returned.
 func (fs *FS) flushWorkers(n int, fn func(int) error) error {
-	par := fs.cfg.FlushParallelism
-	if par > n {
-		par = n
+	run := func(i int) error {
+		fs.noteFlushInFlight(1)
+		defer fs.noteFlushInFlight(-1)
+		return fn(i)
 	}
-	if par <= 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			fs.noteFlushInFlight(1)
-			err := fn(i)
-			fs.noteFlushInFlight(-1)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
+	if n == 1 {
+		return run(0)
 	}
-	sem := make(chan struct{}, par)
-	errCh := make(chan error, n)
+	sem := make(chan struct{}, flushParallelism)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range errs {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			fs.noteFlushInFlight(1)
-			errCh <- fn(i)
-			fs.noteFlushInFlight(-1)
+			errs[i] = run(i)
 			<-sem
 		}(i)
 	}
 	wg.Wait()
-	close(errCh)
-	var firstErr error
-	for err := range errCh {
-		if err != nil && firstErr == nil {
-			firstErr = err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 func (fs *FS) noteFlushInFlight(d int64) {
@@ -1276,7 +1234,8 @@ func (fs *FS) onRevoke(sp *obs.Span, lock uint64, to lockservice.Mode) {
 // rule is absolute — a transient Petal failure must delay the lock
 // handoff, not drop the data — so this retries until everything is
 // clean or the lease is definitively lost (in which case the lock
-// service runs recovery from our log instead).
+// service runs recovery from our log instead) or the server is shut
+// off.
 func (fs *FS) flushOwner(sp *obs.Span, lock uint64) {
 	for {
 		dirtyMeta := fs.meta.DirtyByOwner(lock)
@@ -1294,7 +1253,7 @@ func (fs *FS) flushOwner(sp *obs.Span, lock uint64) {
 		if ok {
 			continue // re-check: all clean now exits above
 		}
-		if fs.clerk.LeaseLost() {
+		if fs.clerk.LeaseLost() || fs.usable() != nil {
 			return // poison path owns the data-loss accounting
 		}
 		fs.w.Clock.Sleep(500 * time.Millisecond)

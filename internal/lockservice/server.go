@@ -419,8 +419,6 @@ func (s *Server) cpuCost(body any) sim.Duration {
 		ops = len(m.Reqs)
 	case ReleaseBatch:
 		ops = len(m.Rels)
-	case ReqMsg, RelMsg:
-		ops = 1
 	case SyncResp:
 		ops = len(m.Locks)
 	}
@@ -445,10 +443,6 @@ func (s *Server) handle(sp *obs.Span, from string, body any) any {
 	// Server-side work is charged to the originating client.
 	s.acct.ServerOp(sp.Who())
 	switch m := body.(type) {
-	case ReqMsg:
-		s.onAcquireBatch(m.Clerk, m.Table, 0, []BatchReq{{Lock: m.Lock, Mode: m.Mode, Epoch: m.Epoch}})
-	case RelMsg:
-		s.onReleaseBatch(m.Clerk, m.Table, 0, []BatchRel{{Lock: m.Lock, NewMode: m.NewMode}})
 	case AcquireBatch:
 		if m.Renew {
 			s.piggyRenew(m.Clerk, m.LeaseID)

@@ -96,6 +96,7 @@ type Endpoint struct {
 	pending map[uint64]chan any
 	nextID  uint64
 	closed  bool
+	done    chan struct{} // closed by Close; ends outstanding calls
 }
 
 // NewEndpoint registers addr on the carrier and returns the endpoint.
@@ -106,6 +107,7 @@ func NewEndpoint(addr string, carrier Carrier, clock *sim.Clock, h HandlerFunc) 
 		carrier: carrier,
 		clock:   clock,
 		pending: make(map[uint64]chan any),
+		done:    make(chan struct{}),
 	}
 	if h != nil {
 		e.handler.Store(h)
@@ -208,6 +210,8 @@ func (e *Endpoint) Call(sp *obs.Span, to string, req any, timeout time.Duration)
 	select {
 	case reply := <-ch:
 		return reply, nil
+	case <-e.done:
+		return nil, ErrClosed
 	case <-e.clock.After(timeout):
 		e.mu.Lock()
 		delete(e.pending, id)
@@ -223,9 +227,12 @@ func (e *Endpoint) Call(sp *obs.Span, to string, req any, timeout time.Duration)
 	}
 }
 
-// Close unregisters the endpoint; outstanding calls time out.
+// Close unregisters the endpoint; outstanding calls return ErrClosed.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
+	if !e.closed {
+		close(e.done)
+	}
 	e.closed = true
 	e.mu.Unlock()
 	e.carrier.Unregister(e.addr)
